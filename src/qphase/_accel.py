@@ -1,6 +1,6 @@
-"""Acceleration switch.
+"""Acceleration switch for the classical-map kernel, the one numba path.
 
-QPHASE_NUMBA=0 (or "false"/"no") forces the pure-numpy kernel paths even when
+QPHASE_NUMBA=0 (or "false"/"no") forces the pure-numpy map kernel even when
 numba is installed; any other value, or the variable unset, uses numba when it
 imports. `kernels.use_numba()` can flip the choice at runtime, which is what
 the benchmark uses to time both paths in one process.

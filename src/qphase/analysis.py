@@ -113,15 +113,6 @@ def wavelet_weights(coeffs: wavelet.WaveletCoeffs) -> np.ndarray:
     return v * v
 
 
-def _wigner_weights(values: np.ndarray, N: int) -> float:
-    # xi = 1 / (N^2 sum W^4): fourth power, not second, since W itself
-    # plays the role of a signed weight on the doubled grid.
-    denom = float(N * N * np.sum(values ** 4))
-    if denom == 0.0:
-        raise QPhaseError("degenerate-input", "distribution is identically zero")
-    return 1.0 / denom
-
-
 def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     """Evolve the band state and tabulate localization measures."""
     params = rotator.RotatorParams(n_q=n_q, K=K)
@@ -130,7 +121,7 @@ def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     full = grid.values
     xi_raw = wigner_ipr(grid)
     coeffs = wavelet.d4_forward_2d(full)
-    xi_wav = _wigner_weights(np.asarray(coeffs.values), grid.N)
+    xi_wav = wigner_ipr(coeffs.values)
     s = entropy(full * full * (2 * grid.N))
     return ScanRow(K=K, n_q=n_q, xi_raw=xi_raw, xi_wavelet=xi_wav,
                    R=ipr_ratio(xi_raw, xi_wav), S=s)

@@ -62,6 +62,8 @@ def _region(text: str):
         raise argparse.ArgumentTypeError(f"expected t0:t1,n0:n1, got {text!r}") from None
     if r0 >= r1 or c0 >= c1:
         raise argparse.ArgumentTypeError(f"empty region {text!r}")
+    if r0 < 0 or c0 < 0:
+        raise argparse.ArgumentTypeError(f"negative coordinate in region {text!r}")
     return r0, r1, c0, c1
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import QPhaseError
 from .measurement import grover_iterations
-from .statevec import as_state
+from .statevec import as_state, partial_qft_blocks
 
 DIAGONAL_QUBIT_LIMIT = 10
 _WRAP_IMAGES = 4
@@ -84,12 +84,22 @@ def modified_husimi(state) -> HusimiGrid:
     psi = as_state(state)
     n_q = _even_qubits(psi)
     b = 1 << (n_q // 2)
-    H = np.fft.ifft(psi.reshape(b, b), axis=1, norm="ortho").T
+    H = partial_qft_blocks(psi, b, "inverse").reshape(b, b).T
     return HusimiGrid(H=np.ascontiguousarray(H), N=psi.size)
 
 
 def default_width(N: int) -> float:
     return math.sqrt(N / (4.0 * math.pi))
+
+
+def _wrapped_envelope(N: int, n0: float, a: float) -> np.ndarray:
+    # e^{-(n - n0)^2 / 4 a^2} summed over the nearest images of the ring
+    n = np.arange(N, dtype=np.float64)
+    envelope = np.zeros(N)
+    for image in range(-_WRAP_IMAGES, _WRAP_IMAGES + 1):
+        d = n - n0 + image * N
+        envelope += np.exp(-d * d / (4.0 * a * a))
+    return envelope
 
 
 def coherent_state(N: int, theta0: float, n0: float, a: float | None = None) -> np.ndarray:
@@ -99,11 +109,7 @@ def coherent_state(N: int, theta0: float, n0: float, a: float | None = None) -> 
     if a <= 0:
         raise QPhaseError("invalid-parameter", f"Gaussian width must be > 0, got {a}")
     n = np.arange(N, dtype=np.float64)
-    envelope = np.zeros(N)
-    for image in range(-_WRAP_IMAGES, _WRAP_IMAGES + 1):
-        d = n - n0 + image * N
-        envelope += np.exp(-d * d / (4.0 * a * a))
-    phi = envelope * np.exp(-1j * theta0 * n)
+    phi = _wrapped_envelope(N, n0, a) * np.exp(-1j * theta0 * n)
     return phi / np.linalg.norm(phi)
 
 
@@ -124,12 +130,7 @@ def gaussian_husimi(state, params: CoherentStateParams | None = None) -> np.ndar
             values[idx] = abs(np.vdot(phi, psi)) ** 2
         return values
 
-    a = params.a
-    n = np.arange(N, dtype=np.float64)
-    envelope = np.zeros(N)
-    for image in range(-_WRAP_IMAGES, _WRAP_IMAGES + 1):
-        d = n + image * N
-        envelope += np.exp(-d * d / (4.0 * a * a))
+    envelope = _wrapped_envelope(N, 0.0, params.a)
     amp = 1.0 / np.linalg.norm(envelope)
     # row n0: envelope rolled to its center, times psi
     rows = np.empty((N, N), dtype=np.complex128)
@@ -143,9 +144,10 @@ def gaussian_husimi(state, params: CoherentStateParams | None = None) -> np.ndar
 def husimi_modulus_state(state, max_qubits: int = DIAGONAL_QUBIT_LIMIT):
     """Two-register diagonal selection; returns (statevector, DiagonalCost).
 
-    Builds H (x) H* explicitly (quartic in sqrt N), projects onto the
-    diagonal theta = theta', n = n', renormalizes. The output components are
-    |H|^2 / sqrt(sum |H|^4) in row-major grid order.
+    Models the register H (x) H*, projected onto the diagonal theta =
+    theta', n = n' and renormalized. Only that diagonal, H H*, is computed;
+    max_qubits caps the modelled register of N^2 = 2^(2 n_q) amplitudes. The
+    output components are |H|^2 / sqrt(sum |H|^4) in row-major grid order.
     """
     psi = as_state(state)
     n_q = _even_qubits(psi)
@@ -155,8 +157,7 @@ def husimi_modulus_state(state, max_qubits: int = DIAGONAL_QUBIT_LIMIT):
                           f"n_q = {n_q} exceeds the limit {max_qubits}")
     grid = modified_husimi(psi)
     h = grid.H.reshape(-1)
-    pair = np.outer(h, h.conj())
-    diag = np.real(np.diagonal(pair)).copy()
+    diag = (h * h.conj()).real
     weight = float(np.sum(diag * diag))
     if weight == 0.0:
         raise QPhaseError("degenerate-input", "zero diagonal weight")

@@ -125,6 +125,10 @@ def load_pgm(path) -> GrayImage:
             raise ParseError(f"pixel value {int(px[bad])} exceeds maxval {maxval}",
                              sc.pos + bad)
     else:
+        # each pixel needs a digit, and all but the last a separator
+        if 2 * count - 1 > len(data) - sc.pos:
+            raise ParseError(f"header declares {count} pixels but only "
+                             f"{len(data) - sc.pos} bytes follow", sc.pos)
         values = np.empty(count, dtype=np.uint8)
         for i in range(count):
             at = sc.pos

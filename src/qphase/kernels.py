@@ -1,10 +1,10 @@
-"""Hot numeric kernels with twin implementations.
+"""Hot numeric kernels: the 4-tap wavelet level stencil and the classical
+map ensemble advance.
 
-Two kernels dominate non-FFT runtime: the 4-tap wavelet level stencil and the
-classical map ensemble advance. Each exists in a pure-numpy form and a numba
-form; `use_numba()` selects between them (initial value from QPHASE_NUMBA via
-_accel). Both paths are bit-compatible up to floating roundoff and are tested
-against each other.
+The D4 stencil is numpy only; it works along any axis, so 2D transforms
+need no transposes. The map advance exists in a pure-numpy form and a numba
+form; `use_numba()` selects between them (initial value from QPHASE_NUMBA
+via _accel). The two map paths apply the same update in the same order.
 
 Filter taps: h = ((1+r3), (3+r3), (3-r3), (1-r3)) / (4 sqrt 2) with r3=sqrt 3,
 g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
@@ -29,7 +29,7 @@ _use_numba = _accel.USE_NUMBA_DEFAULT
 
 
 def use_numba(enabled: bool) -> bool:
-    """Select the kernel path; returns the value actually in effect."""
+    """Select the map kernel path; returns the value actually in effect."""
     global _use_numba
     _use_numba = bool(enabled) and _accel.HAS_NUMBA
     return _use_numba
@@ -39,27 +39,53 @@ def numba_active() -> bool:
     return _use_numba
 
 
-# ---------------------------------------------------------------- numpy path
+def _along(ndim: int, axis: int, sl: slice) -> tuple:
+    index = [slice(None)] * ndim
+    index[axis] = sl
+    return tuple(index)
 
-def _d4_analyze_np(x: np.ndarray):
-    a = np.zeros((x.shape[0], x.shape[1] // 2))
-    d = np.zeros_like(a)
-    for i in range(4):
-        shifted = np.roll(x, -i, axis=1)[:, ::2]
-        a += D4_H[i] * shifted
-        d += D4_G[i] * shifted
+
+_EVEN = slice(0, None, 2)
+_ODD = slice(1, None, 2)
+
+
+def d4_analyze(x: np.ndarray, axis: int = -1):
+    """One analysis level along `axis`; returns (approx, detail).
+
+    Polyphase form: with even samples e and odd samples o, coefficient k is
+    h0 e[k] + h1 o[k] + h2 e[k+1] + h3 o[k+1], indices wrapped.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = x[_along(x.ndim, axis, _EVEN)]
+    o = x[_along(x.ndim, axis, _ODD)]
+    e1 = np.roll(e, -1, axis=axis)
+    o1 = np.roll(o, -1, axis=axis)
+    h0, h1, h2, h3 = D4_H
+    g0, g1, g2, g3 = D4_G
+    # taps summed in order 0..3: a regrouped sum rounds differently
+    a = h0 * e + h1 * o + h2 * e1 + h3 * o1
+    d = g0 * e + g1 * o + g2 * e1 + g3 * o1
     return a, d
 
 
-def _d4_synthesize_np(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    half = a.shape[1]
-    up = np.zeros((a.shape[0], 2 * half))
-    vp = np.zeros_like(up)
-    up[:, ::2] = a
-    vp[:, ::2] = d
-    x = np.zeros_like(up)
-    for i in range(4):
-        x += D4_H[i] * np.roll(up, i, axis=1) + D4_G[i] * np.roll(vp, i, axis=1)
+def d4_synthesize(a: np.ndarray, d: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Exact inverse of d4_analyze along `axis`.
+
+    Sample 2k is h0 a[k] + g0 d[k] + h2 a[k-1] + g2 d[k-1], sample 2k+1 the
+    same with taps 1 and 3, indices wrapped.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    a1 = np.roll(a, 1, axis=axis)
+    d1 = np.roll(d, 1, axis=axis)
+    h0, h1, h2, h3 = D4_H
+    g0, g1, g2, g3 = D4_G
+    shape = list(a.shape)
+    shape[axis] *= 2
+    x = np.empty(shape)
+    # (current pair) + (previous pair): a regrouped sum rounds differently
+    x[_along(x.ndim, axis, _EVEN)] = (h0 * a + g0 * d) + (h2 * a1 + g2 * d1)
+    x[_along(x.ndim, axis, _ODD)] = (h1 * a + g1 * d) + (h3 * a1 + g3 * d1)
     return x
 
 
@@ -71,49 +97,6 @@ def _stdmap_advance_np(theta, p, K, t, wrap_p):
         if wrap_p:
             p = (p + math.pi) % two_pi - math.pi
     return theta, p
-
-
-# ---------------------------------------------------------------- numba path
-
-@njit(cache=True)
-def _d4_analyze_nb(x, h0, h1, h2, h3):  # pragma: no cover - exercised via wrapper
-    rows, length = x.shape
-    half = length // 2
-    a = np.empty((rows, half))
-    d = np.empty((rows, half))
-    for r in range(rows):
-        for k in range(half):
-            i0 = 2 * k
-            i1 = (i0 + 1) % length
-            i2 = (i0 + 2) % length
-            i3 = (i0 + 3) % length
-            x0 = x[r, i0]
-            x1 = x[r, i1]
-            x2 = x[r, i2]
-            x3 = x[r, i3]
-            a[r, k] = h0 * x0 + h1 * x1 + h2 * x2 + h3 * x3
-            d[r, k] = h3 * x0 - h2 * x1 + h1 * x2 - h0 * x3
-    return a, d
-
-
-@njit(cache=True)
-def _d4_synthesize_nb(a, d, h0, h1, h2, h3):  # pragma: no cover
-    rows, half = a.shape
-    length = 2 * half
-    x = np.zeros((rows, length))
-    for r in range(rows):
-        for k in range(half):
-            ak = a[r, k]
-            dk = d[r, k]
-            i0 = 2 * k
-            i1 = (i0 + 1) % length
-            i2 = (i0 + 2) % length
-            i3 = (i0 + 3) % length
-            x[r, i0] += h0 * ak + h3 * dk
-            x[r, i1] += h1 * ak - h2 * dk
-            x[r, i2] += h2 * ak + h1 * dk
-            x[r, i3] += h3 * ak - h0 * dk
-    return x
 
 
 @njit(cache=True)
@@ -130,33 +113,6 @@ def _stdmap_advance_nb(theta, p, K, t, wrap_p):  # pragma: no cover
                 pi_new = (pi_new + math.pi) % two_pi - math.pi
             pp[i] = pi_new
     return th, pp
-
-
-# ------------------------------------------------------------------ dispatch
-
-def d4_analyze(x: np.ndarray):
-    """One analysis level along the last axis; returns (approx, detail)."""
-    x2 = np.ascontiguousarray(x, dtype=np.float64)
-    flat = x2.reshape(-1, x2.shape[-1])
-    if _use_numba:
-        a, d = _d4_analyze_nb(flat, D4_H[0], D4_H[1], D4_H[2], D4_H[3])
-    else:
-        a, d = _d4_analyze_np(flat)
-    out_shape = x2.shape[:-1] + (x2.shape[-1] // 2,)
-    return a.reshape(out_shape), d.reshape(out_shape)
-
-
-def d4_synthesize(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Exact inverse of d4_analyze along the last axis."""
-    a2 = np.ascontiguousarray(a, dtype=np.float64)
-    d2 = np.ascontiguousarray(d, dtype=np.float64)
-    fa = a2.reshape(-1, a2.shape[-1])
-    fd = d2.reshape(-1, d2.shape[-1])
-    if _use_numba:
-        x = _d4_synthesize_nb(fa, fd, D4_H[0], D4_H[1], D4_H[2], D4_H[3])
-    else:
-        x = _d4_synthesize_np(fa, fd)
-    return x.reshape(a2.shape[:-1] + (2 * a2.shape[-1],))
 
 
 def stdmap_advance(theta, p, K: float, t: int, wrap_p: bool = True):

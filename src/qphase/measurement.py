@@ -76,18 +76,10 @@ def coarse_grained_sample(state, n_f: int, shots: int, seed: int) -> Measurement
     cell. n_f equal to the per-axis qubit count reproduces computational
     sampling cell-for-cell.
     """
-    psi = as_state(state)
     if shots < 1:
         raise QPhaseError("invalid-parameter", f"shots must be >= 1, got {shots}")
-    n_q = psi.size.bit_length() - 1
-    if n_q % 2 != 0:
-        raise QPhaseError("invalid-parameter", f"square grid needs even n_q, got {n_q}")
-    half = n_q // 2
-    if not 0 <= n_f <= half:
-        raise QPhaseError("invalid-parameter", f"n_f must be in [0, {half}], got {n_f}")
-    cells = 1 << n_f
-    fine = 1 << (half - n_f)
-    probs = (np.abs(psi) ** 2).reshape(cells, fine, cells, fine).sum(axis=(1, 3))
+    probs = cell_probabilities(state, n_f)
+    cells = probs.shape[0]
     flat = probs.reshape(-1)
     flat = flat / flat.sum()
     drawn = _rng(seed).multinomial(shots, flat)
@@ -109,12 +101,7 @@ def cell_probabilities(state, n_f: int) -> np.ndarray:
     return (np.abs(psi) ** 2).reshape(cells, fine, cells, fine).sum(axis=(1, 3))
 
 
-def ancilla_tomography_sample(w: float, N: int, shots: int, seed: int):
-    """Estimate one grid value from +-1 ancilla outcomes with mean 2 N w.
-
-    Returns (estimate, stderr): estimate = sample mean / 2N, stderr = sample
-    standard deviation / (2 N sqrt(shots)).
-    """
+def _ancilla_estimate(w: float, N: int, shots: int, rng: np.random.Generator):
     if shots < 1:
         raise QPhaseError("invalid-parameter", f"shots must be >= 1, got {shots}")
     mean = 2.0 * N * w
@@ -122,11 +109,20 @@ def ancilla_tomography_sample(w: float, N: int, shots: int, seed: int):
         raise QPhaseError("invalid-parameter",
                           f"|2 N w| = {abs(mean)} exceeds 1: not a valid grid value")
     p_plus = min(1.0, max(0.0, 0.5 * (1.0 + mean)))
-    plus = int(_rng(seed).binomial(shots, p_plus))
+    plus = int(rng.binomial(shots, p_plus))
     sample_mean = (2 * plus - shots) / shots
     var = shots * max(0.0, 1.0 - sample_mean ** 2) / max(shots - 1, 1)
     stderr = math.sqrt(var) / (2.0 * N * math.sqrt(shots))
     return sample_mean / (2.0 * N), stderr
+
+
+def ancilla_tomography_sample(w: float, N: int, shots: int, seed: int):
+    """Estimate one grid value from +-1 ancilla outcomes with mean 2 N w.
+
+    Returns (estimate, stderr): estimate = sample mean / 2N, stderr = sample
+    standard deviation / (2 N sqrt(shots)).
+    """
+    return _ancilla_estimate(w, N, shots, _rng(seed))
 
 
 def shots_to_resolve(w: float, N: int, seed: int, start: int = 8,
@@ -137,13 +133,7 @@ def shots_to_resolve(w: float, N: int, seed: int, start: int = 8,
     shots = start
     attempt = 0
     while shots <= limit:
-        seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(attempt,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        p_plus = 0.5 * (1.0 + 2.0 * N * w)
-        plus = int(rng.binomial(shots, p_plus))
-        sample_mean = (2 * plus - shots) / shots
-        var = shots * max(0.0, 1.0 - sample_mean ** 2) / max(shots - 1, 1)
-        stderr = math.sqrt(var) / (2.0 * N * math.sqrt(shots))
+        _, stderr = _ancilla_estimate(w, N, shots, _rng(seed, attempt))
         if stderr <= abs(w):
             return shots
         shots *= 2
@@ -170,6 +160,10 @@ def _region_mask(region, size: int) -> np.ndarray:
     if mask.dtype != bool:
         # index list
         idx = np.asarray(region, dtype=np.int64)
+        if idx.size and not (0 <= idx.min() and idx.max() < size):
+            raise QPhaseError("invalid-parameter",
+                              f"region indices must lie in [0, {size}), "
+                              f"got [{idx.min()}, {idx.max()}]")
         mask = np.zeros(size, dtype=bool)
         mask[idx] = True
     if mask.shape != (size,):

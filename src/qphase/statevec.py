@@ -78,10 +78,3 @@ def partial_qft_blocks(state, block_size: int, direction: str = "forward") -> np
     else:
         raise QPhaseError("invalid-parameter", f"direction must be one of {DIRECTIONS}, got {direction!r}")
     return out.reshape(-1)
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product: component (i * len(b) + j) = a_i * b_j."""
-    va = np.asarray(a, dtype=np.complex128)
-    vb = np.asarray(b, dtype=np.complex128)
-    return np.outer(va, vb).reshape(-1)

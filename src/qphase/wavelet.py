@@ -101,12 +101,12 @@ def d4_forward_2d(field, levels: int | None = None) -> WaveletCoeffs:
     s = side
     for _ in range(levels):
         block = out[:s, :s]
-        a, d = kernels.d4_analyze(block)  # rows
+        a, d = kernels.d4_analyze(block, axis=1)  # rows
         block[:, : s // 2] = a
         block[:, s // 2 :] = d
-        a, d = kernels.d4_analyze(block.T)  # columns
-        block[: s // 2, :] = a.T
-        block[s // 2 :, :] = d.T
+        a, d = kernels.d4_analyze(block, axis=0)  # columns
+        block[: s // 2, :] = a
+        block[s // 2 :, :] = d
         s //= 2
     return WaveletCoeffs(out, levels)
 
@@ -118,10 +118,8 @@ def d4_inverse_2d(coeffs: WaveletCoeffs) -> np.ndarray:
     s = side >> (coeffs.levels - 1)
     for _ in range(coeffs.levels):
         block = out[:s, :s]
-        cols = kernels.d4_synthesize(block.T[:, : s // 2], block.T[:, s // 2 :])
-        block[:, :] = cols.T
-        rows = kernels.d4_synthesize(block[:, : s // 2], block[:, s // 2 :])
-        block[:, :] = rows
+        block[:, :] = kernels.d4_synthesize(block[: s // 2, :], block[s // 2 :, :], axis=0)
+        block[:, :] = kernels.d4_synthesize(block[:, : s // 2], block[:, s // 2 :], axis=1)
         s *= 2
     return out
 

@@ -154,9 +154,19 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int,
     return grid, final_state
 
 
-def wigner_ipr(grid: WignerGrid) -> float:
-    """xi = 1 / (N^2 sum W^4) over the full doubled grid."""
-    fourth = 2.0 * float(np.sum(grid.half ** 4))
+def wigner_ipr(grid) -> float:
+    """xi = 1 / (N^2 sum W^4) over the full doubled grid.
+
+    grid is a WignerGrid, whose n >= N half carries the same fourth powers as
+    the stored half, or the full (2N, 2N) grid in any orthonormal basis, such
+    as its D4 coefficients. The fourth power, not the second, since W itself
+    plays the role of a signed weight on the doubled grid.
+    """
+    if isinstance(grid, WignerGrid):
+        N, fourth = grid.N, 2.0 * float(np.sum(grid.half ** 4))
+    else:
+        values = np.asarray(grid, dtype=np.float64)
+        N, fourth = values.shape[0] // 2, float(np.sum(values ** 4))
     if fourth == 0.0:
         raise QPhaseError("degenerate-input", "all-zero grid has no participation ratio")
-    return 1.0 / (grid.N ** 2 * fourth)
+    return 1.0 / (N ** 2 * fourth)

@@ -139,9 +139,11 @@ def test_reconstruct_montecarlo_runs(tmp_path, capsys):
 
 def test_reconstruct_parse_failure_exit_code(tmp_path):
     bad = tmp_path / "bad.pgm"
-    bad.write_bytes(b"P5\n4 4\n255\n" + bytes(7))  # truncated
-    assert main(["reconstruct", str(bad), "--method", "topk", "--k", "4",
-                 "--out", str(tmp_path / "r")]) == 4
+    for payload in (b"P5\n4 4\n255\n" + bytes(7),  # truncated
+                    b"P2\n1048576 1048576\n255\n0 0 0\n"):  # 2^40 pixels declared
+        bad.write_bytes(payload)
+        assert main(["reconstruct", str(bad), "--method", "topk", "--k", "4",
+                     "--out", str(tmp_path / "r")]) == 4
 
 
 def test_amplify_command_report(tmp_path, capsys):
@@ -168,4 +170,10 @@ def test_amplify_region_bounds_checked(capsys):
 def test_malformed_region_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["amplify", "--K", "0.5", "--nq", "3", "--t", "0", "--region", "1,2"])
+    assert exc.value.code == 2
+
+
+def test_negative_region_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["amplify", "--K", "0.5", "--nq", "3", "--t", "0", "--region=-4:-1,0:8"])
     assert exc.value.code == 2

@@ -83,6 +83,17 @@ def test_p2_non_integer_pixel(tmp_path):
     assert err.value.category == "parse"
 
 
+def test_p2_header_larger_than_file(tmp_path):
+    # 2^40 declared pixels in a 29-byte file: rejected before any allocation
+    path = tmp_path / "img.pgm"
+    header = b"P2\n1048576 1048576\n255"
+    path.write_bytes(header + b"\n0 0 0\n")
+    with pytest.raises(ParseError) as err:
+        imageio.load_pgm(path)
+    assert err.value.byte_offset == len(header)
+    assert "1099511627776 pixels" in str(err.value)
+
+
 def test_encode_uniform_image():
     side = 8
     img = imageio.GrayImage(np.full((side, side), 7, dtype=np.uint8))

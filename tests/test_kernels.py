@@ -1,4 +1,4 @@
-"""Equivalence of the numpy and numba kernel paths."""
+"""The D4 stencil, and equivalence of the numpy and numba map paths."""
 
 import numpy as np
 import pytest
@@ -26,30 +26,6 @@ def test_use_numba_reports_effective_value(restore_path):
 
 
 @needs_numba
-def test_d4_analyze_paths_agree(restore_path):
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(5, 64))
-    kernels.use_numba(False)
-    a_np, d_np = kernels.d4_analyze(x)
-    kernels.use_numba(True)
-    a_nb, d_nb = kernels.d4_analyze(x)
-    assert np.max(np.abs(a_np - a_nb)) < 1e-13
-    assert np.max(np.abs(d_np - d_nb)) < 1e-13
-
-
-@needs_numba
-def test_d4_synthesize_paths_agree(restore_path):
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(3, 32))
-    d = rng.normal(size=(3, 32))
-    kernels.use_numba(False)
-    x_np = kernels.d4_synthesize(a, d)
-    kernels.use_numba(True)
-    x_nb = kernels.d4_synthesize(a, d)
-    assert np.max(np.abs(x_np - x_nb)) < 1e-13
-
-
-@needs_numba
 def test_stdmap_advance_paths_agree(restore_path):
     rng = np.random.default_rng(2)
     theta = rng.uniform(0, 2 * np.pi, size=1000)
@@ -67,9 +43,10 @@ def test_stdmap_advance_paths_agree(restore_path):
 def test_analyze_synthesize_roundtrip_on_active_path():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 128))
-    a, d = kernels.d4_analyze(x)
-    back = kernels.d4_synthesize(a, d)
-    assert np.max(np.abs(back - x)) < 1e-12
+    for data, axis in ((x, -1), (x.T, 0)):
+        a, d = kernels.d4_analyze(data, axis=axis)
+        back = kernels.d4_synthesize(a, d, axis=axis)
+        assert np.max(np.abs(back - data)) < 1e-12
 
 
 def test_stdmap_advance_leaves_inputs_untouched():

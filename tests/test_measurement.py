@@ -143,9 +143,11 @@ def test_shots_to_resolve_basics():
     assert shots == measurement.shots_to_resolve(64.0 ** -1.5, 64, seed=2)
     # doubling schedule starting at 8
     assert shots >= 8 and (shots & (shots - 1)) == 0
-    with pytest.raises(QPhaseError) as err:
-        measurement.shots_to_resolve(0.0, 64, seed=0)
-    assert err.value.category == "invalid-parameter"
+    # w = 0 cannot be resolved; |2 N w| > 1 is not a grid value
+    for bad in (0.0, 0.1):
+        with pytest.raises(QPhaseError) as err:
+            measurement.shots_to_resolve(bad, 64, seed=0)
+        assert err.value.category == "invalid-parameter"
 
 
 # -------------------------------------------------------------- amplification
@@ -245,6 +247,14 @@ def test_amplify_empty_region_rejected():
     with pytest.raises(QPhaseError) as err:
         measurement.amplitude_amplify(psi0, [5])
     assert err.value.category == "empty-region"
+
+
+def test_amplify_rejects_out_of_range_indices():
+    psi0 = oracles.random_state(8, seed=33)
+    for bad in ([8], [-7], [0, 9]):
+        with pytest.raises(QPhaseError) as err:
+            measurement.amplitude_amplify(psi0, bad)
+        assert err.value.category == "invalid-parameter"
 
 
 def test_amplify_full_region_warns_and_passes_through():

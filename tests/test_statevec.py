@@ -130,20 +130,3 @@ def test_partial_blocks_rejects_bad_block_size():
     with pytest.raises(QPhaseError) as err:
         statevec.partial_qft_blocks(psi, 16)
     assert err.value.category == "invalid-dimension"
-
-
-def test_tensor_product_of_deltas():
-    zero = np.array([1.0, 0.0], dtype=complex)
-    out = statevec.tensor_product(zero, zero)
-    assert np.array_equal(out, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-
-
-def test_tensor_product_matches_double_loop():
-    a = oracles.random_state(8, seed=7)
-    b = a.conj()
-    out = statevec.tensor_product(a, b)
-    for i in range(8):
-        for j in range(8):
-            assert abs(out[i * 8 + j] - a[i] * b[j]) < 1e-15
-    # both factors are unit vectors, so the product is too
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12

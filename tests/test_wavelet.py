@@ -35,6 +35,15 @@ def test_one_level_matches_dense_matrix():
     assert np.max(np.abs(coeffs.values - ref)) < 1e-13
 
 
+def test_one_2d_level_matches_dense_matrices():
+    # rows then columns: one level is M X M^T
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(16, 16))
+    coeffs = wavelet.d4_forward_2d(x, levels=1)
+    mat = oracles.d4_analysis_matrix(16)
+    assert np.max(np.abs(coeffs.values - mat @ x @ mat.T)) < 1e-13
+
+
 def test_roundtrip_1d():
     rng = np.random.default_rng(1)
     x = rng.normal(size=1024)
