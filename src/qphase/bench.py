@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import kernels
-from ._accel import HAS_NUMBA
+from .measurement import _rng
 
 
 def _median_time(fn, repeats: int = 3) -> float:
@@ -26,8 +26,7 @@ def _median_time(fn, repeats: int = 3) -> float:
 
 
 def _wavelet_case():
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-    field = rng.standard_normal((1024, 1024))
+    field = _rng(0).standard_normal((1024, 1024))
 
     def run():
         from . import wavelet
@@ -37,7 +36,7 @@ def _wavelet_case():
 
 
 def _stdmap_case():
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
+    rng = _rng(1)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=1_000_000)
     p = rng.uniform(-np.pi, np.pi, size=1_000_000)
 
@@ -52,7 +51,7 @@ def main() -> None:
     wavelet_case()
     print(f"{'d4_forward_2d 1024x1024':32s}  numpy: {_median_time(wavelet_case):8.4f}s")
     modes = [("numpy", False)]
-    if HAS_NUMBA:
+    if kernels.HAS_NUMBA:
         modes.append(("numba", True))
     else:
         print("numba is not installed; timing the map's numpy path only")

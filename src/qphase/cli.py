@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inclusive qubit-count range to scan and fit")
     sp.add_argument("--tile", type=int, default=0, help="tile size (image scans)")
     sp.add_argument("--wavelet", action="store_true", help="fit the wavelet-domain xi")
-    sp.add_argument("--image", default="portrait", help="corpus image (image scans)")
+    sp.add_argument("--image", default="portrait", choices=imageio.CORPUS_NAMES,
+                    help="corpus image (image scans)")
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_scan)
 

@@ -6,7 +6,8 @@ it to a stable exit code. Categories:
     invalid-dimension   array length/shape violates a structural precondition
     invalid-parameter   scalar argument outside its legal range
     invalid-state       statevector fails its own invariants (norm, finiteness)
-    invalid-data        numeric payload unusable (NaN/Inf, broken invariant)
+    invalid-data        numeric payload unusable (NaN/Inf, broken invariant),
+                        or a data file that cannot be read
     degenerate-input    input is all-zero or otherwise carries no information
     empty-region        selected region holds no probability weight
     insufficient-data   too few points for the requested statistic

@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import QPhaseError
 from .measurement import grover_iterations
-from .statevec import as_state, partial_qft_blocks
+from .statevec import as_state, check_register, partial_qft_blocks
 
-DIAGONAL_QUBIT_LIMIT = 10
 _WRAP_IMAGES = 4
 
 
@@ -141,20 +140,17 @@ def gaussian_husimi(state, params: CoherentStateParams | None = None) -> np.ndar
     return (np.abs(overlaps) ** 2).T
 
 
-def husimi_modulus_state(state, max_qubits: int = DIAGONAL_QUBIT_LIMIT):
+def husimi_modulus_state(state):
     """Two-register diagonal selection; returns (statevector, DiagonalCost).
 
     Models the register H (x) H*, projected onto the diagonal theta =
-    theta', n = n' and renormalized. Only that diagonal, H H*, is computed;
-    max_qubits caps the modelled register of N^2 = 2^(2 n_q) amplitudes. The
+    theta', n = n' and renormalized. Only that diagonal, H H*, is computed,
+    but the size check applies to the modelled 2 n_q-qubit register. The
     output components are |H|^2 / sqrt(sum |H|^4) in row-major grid order.
     """
     psi = as_state(state)
     n_q = _even_qubits(psi)
-    if n_q > max_qubits:
-        raise QPhaseError("resource",
-                          f"two-register construction needs N^2 = 2^{2 * n_q} amplitudes; "
-                          f"n_q = {n_q} exceeds the limit {max_qubits}")
+    check_register(2 * n_q, f"the diagonal Husimi construction at n_q = {n_q}")
     grid = modified_husimi(psi)
     h = grid.H.reshape(-1)
     diag = (h * h.conj()).real

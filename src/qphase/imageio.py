@@ -9,12 +9,14 @@ sparse, and self-similar content.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, QPhaseError
+from .measurement import _rng
 
 
 @dataclass
@@ -54,89 +56,79 @@ class ImageAmplitudes:
         self.values = v
 
 
-class _Scanner:
-    # Cursor over the raw bytes; every error it raises knows where it happened.
+# One token per match: a comment only where a token would start, else a
+# whitespace-free run (group 1); " \t\r\n" separate tokens.
+_TOKEN = re.compile(rb"#[^\n]*|([^ \t\r\n]+)")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_separators(self) -> None:
-        while self.pos < len(self.data):
-            c = self.data[self.pos:self.pos + 1]
-            if c in b" \t\r\n":
-                self.pos += 1
-            elif c == b"#":
-                while self.pos < len(self.data) and self.data[self.pos:self.pos + 1] != b"\n":
-                    self.pos += 1
-            else:
-                return
+def _next_token(tokens, what: str, size: int) -> re.Match:
+    for match in tokens:
+        if match.lastindex:
+            return match
+    raise ParseError(f"unexpected end of file while reading {what}", size)
 
-    def token(self, what: str) -> tuple:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise ParseError(f"unexpected end of file while reading {what}", self.pos)
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos:self.pos + 1] not in b" \t\r\n":
-            self.pos += 1
-        return self.data[start:self.pos], start
 
-    def integer(self, what: str, upper: int) -> int:
-        tok, start = self.token(what)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise ParseError(f"{what} is not an integer: {tok!r}", start) from None
-        if not 0 <= value <= upper:
-            raise ParseError(f"{what} = {value} outside [0, {upper}]", start)
-        return value
+def _integer(match: re.Match, what: str, upper: int) -> int:
+    try:
+        value = int(match[1])
+    except ValueError:
+        raise ParseError(f"{what} is not an integer: {match[1]!r}", match.start()) from None
+    if not 0 <= value <= upper:
+        raise ParseError(f"{what} = {value} outside [0, {upper}]", match.start())
+    return value
 
 
 def load_pgm(path) -> GrayImage:
     """Read a P2 or P5 PGM file; maxval above 255 is rejected."""
-    data = Path(path).read_bytes()
-    sc = _Scanner(data)
-    magic, magic_at = sc.token("magic number")
-    if magic not in (b"P2", b"P5"):
-        raise ParseError(f"unsupported magic number {magic!r}", magic_at)
-    width = sc.integer("width", 1 << 20)
-    height = sc.integer("height", 1 << 20)
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise QPhaseError("invalid-data", f"cannot read {path}: {exc.strerror}") from None
+    tokens = _TOKEN.finditer(data)
+    magic = _next_token(tokens, "magic number", len(data))
+    if magic[1] not in (b"P2", b"P5"):
+        raise ParseError(f"unsupported magic number {magic[1]!r}", magic.start())
+    width = _integer(_next_token(tokens, "width", len(data)), "width", 1 << 20)
+    height_tok = _next_token(tokens, "height", len(data))
+    height = _integer(height_tok, "height", 1 << 20)
     if width == 0 or height == 0:
-        raise ParseError("image has zero pixels", sc.pos)
-    maxval_at = sc.pos
-    maxval = sc.integer("maxval", 1 << 16)
+        raise ParseError("image has zero pixels", height_tok.end())
+    maxval_tok = _next_token(tokens, "maxval", len(data))
+    maxval = _integer(maxval_tok, "maxval", 1 << 16)
     if not 1 <= maxval <= 255:
-        raise ParseError(f"maxval {maxval} outside [1, 255]", maxval_at)
+        raise ParseError(f"maxval {maxval} outside [1, 255]", height_tok.end())
 
     count = width * height
-    if magic == b"P5":
+    pos = maxval_tok.end()
+    if magic[1] == b"P5":
         # exactly one separator byte between maxval and the payload
-        if sc.pos >= len(data) or data[sc.pos:sc.pos + 1] not in b" \t\r\n":
-            raise ParseError("missing separator before pixel payload", sc.pos)
-        sc.pos += 1
-        payload = data[sc.pos:sc.pos + count]
+        if pos >= len(data) or data[pos:pos + 1] not in b" \t\r\n":
+            raise ParseError("missing separator before pixel payload", pos)
+        pos += 1
+        payload = data[pos:pos + count]
         if len(payload) < count:
             raise ParseError(
                 f"truncated pixel payload: expected {count} bytes, got {len(payload)}",
-                sc.pos + len(payload))
+                pos + len(payload))
         px = np.frombuffer(payload, dtype=np.uint8, count=count)
         if maxval < 255 and np.any(px > maxval):
             bad = int(np.argmax(px > maxval))
             raise ParseError(f"pixel value {int(px[bad])} exceeds maxval {maxval}",
-                             sc.pos + bad)
+                             pos + bad)
     else:
         # each pixel needs a digit, and all but the last a separator
-        if 2 * count - 1 > len(data) - sc.pos:
+        if 2 * count - 1 > len(data) - pos:
             raise ParseError(f"header declares {count} pixels but only "
-                             f"{len(data) - sc.pos} bytes follow", sc.pos)
-        values = np.empty(count, dtype=np.uint8)
+                             f"{len(data) - pos} bytes follow", pos)
+        px = np.empty(count, dtype=np.uint8)
         for i in range(count):
-            at = sc.pos
-            v = sc.integer(f"pixel {i}", 255)
+            match = _next_token(tokens, f"pixel {i}", len(data))
+            v = _integer(match, f"pixel {i}", 255)
             if v > maxval:
-                raise ParseError(f"pixel value {v} exceeds maxval {maxval}", at)
-            values[i] = v
-        px = values
+                # located at the end of the previous token
+                raise ParseError(f"pixel value {v} exceeds maxval {maxval}", pos)
+            px[i] = v
+            pos = match.end()
     return GrayImage(px.reshape(height, width))
 
 
@@ -229,7 +221,7 @@ def _portrait(side: int) -> np.ndarray:
 
 
 def _texture(side: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
+    rng = _rng(11)
     noise = rng.standard_normal((side, side))
     f = np.fft.fftfreq(side)
     r = np.hypot(*np.meshgrid(f, f, indexing="ij"))
@@ -239,7 +231,7 @@ def _texture(side: int) -> np.ndarray:
 
 
 def _spots(side: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+    rng = _rng(7)
     y, x = np.mgrid[0:side, 0:side]
     img = np.full((side, side), 0.02)
     for _ in range(14):
@@ -264,13 +256,16 @@ def _fractal(side: int) -> np.ndarray:
     return img
 
 
+_CORPUS = {"portrait": _portrait, "texture": _texture, "spots": _spots, "fractal": _fractal}
+CORPUS_NAMES = tuple(_CORPUS)
+
+
 def synthetic_corpus(side: int = 128) -> dict:
     """Deterministic corpus images as GrayImage, keyed by content class."""
     if side < 8 or side & (side - 1):
         raise QPhaseError("invalid-parameter", f"side must be a power of two >= 8, got {side}")
     out = {}
-    for name, make in (("portrait", _portrait), ("texture", _texture),
-                       ("spots", _spots), ("fractal", _fractal)):
+    for name, make in _CORPUS.items():
         fld = make(side)
         lo, hi = float(fld.min()), float(fld.max())
         px = np.rint((fld - lo) / (hi - lo) * 255.0).astype(np.uint8)

@@ -2,9 +2,10 @@
 map ensemble advance.
 
 The D4 stencil is numpy only; it works along any axis, so 2D transforms
-need no transposes. The map advance exists in a pure-numpy form and a numba
-form; `use_numba()` selects between them (initial value from QPHASE_NUMBA
-via _accel). The two map paths apply the same update in the same order.
+need no transposes. The map advance exists in a pure-numpy form and, when
+numba imports, a compiled form; `use_numba()` selects between them at
+runtime. QPHASE_NUMBA=0 (or "false"/"no") starts on the numpy path even when
+numba is installed. The two map paths apply the same update in the same order.
 
 Filter taps: h = ((1+r3), (3+r3), (3-r3), (1-r3)) / (4 sqrt 2) with r3=sqrt 3,
 g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
@@ -14,24 +15,29 @@ g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
-from . import _accel
-from ._accel import njit
+try:
+    import numba
+    HAS_NUMBA = True
+except ImportError:
+    HAS_NUMBA = False
 
 _R3 = math.sqrt(3.0)
 _S2 = math.sqrt(2.0)
 D4_H = np.array([(1.0 + _R3), (3.0 + _R3), (3.0 - _R3), (1.0 - _R3)]) / (4.0 * _S2)
 D4_G = np.array([D4_H[3], -D4_H[2], D4_H[1], -D4_H[0]])
 
-_use_numba = _accel.USE_NUMBA_DEFAULT
+_use_numba = HAS_NUMBA and (
+    os.environ.get("QPHASE_NUMBA", "1").strip().lower() not in ("0", "false", "no"))
 
 
 def use_numba(enabled: bool) -> bool:
     """Select the map kernel path; returns the value actually in effect."""
     global _use_numba
-    _use_numba = bool(enabled) and _accel.HAS_NUMBA
+    _use_numba = bool(enabled) and HAS_NUMBA
     return _use_numba
 
 
@@ -99,20 +105,21 @@ def _stdmap_advance_np(theta, p, K, t, wrap_p):
     return theta, p
 
 
-@njit(cache=True)
-def _stdmap_advance_nb(theta, p, K, t, wrap_p):  # pragma: no cover
-    two_pi = 2.0 * math.pi
-    n = theta.shape[0]
-    th = theta.copy()
-    pp = p.copy()
-    for _ in range(t):
-        for i in range(n):
-            pi_new = pp[i] + K * math.sin(th[i])
-            th[i] = (th[i] + pi_new) % two_pi
-            if wrap_p:
-                pi_new = (pi_new + math.pi) % two_pi - math.pi
-            pp[i] = pi_new
-    return th, pp
+if HAS_NUMBA:
+    @numba.njit(cache=True)
+    def _stdmap_advance_nb(theta, p, K, t, wrap_p):  # pragma: no cover
+        two_pi = 2.0 * math.pi
+        n = theta.shape[0]
+        th = theta.copy()
+        pp = p.copy()
+        for _ in range(t):
+            for i in range(n):
+                pi_new = pp[i] + K * math.sin(th[i])
+                th[i] = (th[i] + pi_new) % two_pi
+                if wrap_p:
+                    pi_new = (pi_new + math.pi) % two_pi - math.pi
+                pp[i] = pi_new
+        return th, pp
 
 
 def stdmap_advance(theta, p, K: float, t: int, wrap_p: bool = True):

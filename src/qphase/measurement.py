@@ -21,7 +21,11 @@ from .statevec import as_state
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(stream))
+    """The package's one seeded generator: Philox keyed by seed and stream."""
+    seed = int(seed)
+    if seed < 0:
+        raise QPhaseError("invalid-parameter", f"seed must be >= 0, got {seed}")
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(seq))
 
 

@@ -21,10 +21,21 @@ from .errors import QPhaseError
 
 DIRECTIONS = ("forward", "inverse")
 
+# Largest register a route may model, in qubits: the Wigner pipeline's
+# 2 n_q + 2 and the diagonal Husimi route's 2 n_q both stop at n_q = 10.
+REGISTER_QUBIT_LIMIT = 22
+
 
 def _require_power_of_two(n: int, what: str) -> None:
     if n < 1 or (n & (n - 1)) != 0:
         raise QPhaseError("invalid-dimension", f"{what} must be a power of two, got {n}")
+
+
+def check_register(qubits: int, what: str) -> None:
+    """Raise category `resource` when a modelled register is too large."""
+    if qubits > REGISTER_QUBIT_LIMIT:
+        raise QPhaseError("resource", f"{what} models {qubits} qubits, "
+                                      f"above the limit of {REGISTER_QUBIT_LIMIT}")
 
 
 def as_state(amplitudes, require_normalized: bool = True) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import QPhaseError
+from .measurement import _rng
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,7 +56,7 @@ def initial_band(K: float, count: int = DEFAULT_ENSEMBLE_SIZE, seed: int = 0,
     """Uniform random band: theta in [0, 2 pi), p in p_range."""
     if count < 1:
         raise QPhaseError("invalid-parameter", f"ensemble size must be >= 1, got {count}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _rng(seed)
     theta = rng.uniform(0.0, TWO_PI, size=count)
     p = rng.uniform(p_range[0], p_range[1], size=count)
     return ClassicalEnsemble(theta, p, float(K))

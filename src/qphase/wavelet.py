@@ -6,7 +6,8 @@ Coefficient layout is the standard in-place pyramid: after each level the
 approximation occupies the leading half of the active block and the detail
 the trailing half; 2D levels transform rows then columns of the shrinking
 top-left block. Full depth (approximation band of 4 samples in 1D, 4x4 in 2D)
-is the default.
+is the default. All three variants run one forward and one inverse pyramid;
+a tiled field runs it on a 4D view of itself, every tile at once.
 """
 
 from __future__ import annotations
@@ -57,19 +58,50 @@ def _as_real(data, what: str) -> np.ndarray:
     return arr
 
 
+def _active(arr: np.ndarray, axes, n: int) -> np.ndarray:
+    """View of arr cut to its leading n entries along each of axes."""
+    index = [slice(None)] * arr.ndim
+    for ax in axes:
+        index[ax] = slice(0, n)
+    return arr[tuple(index)]
+
+
+def _forward_pyramid(out: np.ndarray, axes, levels: int) -> np.ndarray:
+    """Analyze `levels` levels of out in place, along each of axes in turn.
+
+    Every axis in axes has the same length; any other axis is a batch axis,
+    so a (side/t, t, side/t, t) view with axes (3, 1) moves all tiles at once.
+    """
+    n = out.shape[axes[0]]
+    for _ in range(levels):
+        block = _active(out, axes, n)
+        for ax in axes:
+            a, d = kernels.d4_analyze(block, axis=ax)
+            block[kernels._along(block.ndim, ax, slice(0, n // 2))] = a
+            block[kernels._along(block.ndim, ax, slice(n // 2, n))] = d
+        n //= 2
+    return out
+
+
+def _inverse_pyramid(out: np.ndarray, axes, levels: int) -> np.ndarray:
+    """Exact inverse of _forward_pyramid(out, axes, levels), in place."""
+    n = out.shape[axes[0]] >> (levels - 1)
+    for _ in range(levels):
+        block = _active(out, axes, n)
+        for ax in reversed(axes):
+            block[...] = kernels.d4_synthesize(
+                block[kernels._along(block.ndim, ax, slice(0, n // 2))],
+                block[kernels._along(block.ndim, ax, slice(n // 2, n))], axis=ax)
+        n *= 2
+    return out
+
+
 def d4_forward_1d(signal, levels: int | None = None) -> WaveletCoeffs:
     x = _as_real(signal, "signal")
     if x.ndim != 1 or x.size < 4:
         raise QPhaseError("invalid-dimension", f"signal must be 1D of length >= 4, got shape {x.shape}")
     levels = _check_levels(x.size, levels, "signal length")
-    out = x.copy()
-    cur = x.size
-    for _ in range(levels):
-        a, d = kernels.d4_analyze(out[:cur])
-        out[: cur // 2] = a
-        out[cur // 2 : cur] = d
-        cur //= 2
-    return WaveletCoeffs(out, levels)
+    return WaveletCoeffs(_forward_pyramid(x.copy(), (0,), levels), levels)
 
 
 def d4_inverse_1d(coeffs: WaveletCoeffs) -> np.ndarray:
@@ -77,11 +109,7 @@ def d4_inverse_1d(coeffs: WaveletCoeffs) -> np.ndarray:
     if out.ndim != 1:
         raise QPhaseError("invalid-dimension", f"expected 1D coefficients, got shape {out.shape}")
     _check_levels(out.size, coeffs.levels, "signal length")
-    cur = out.size >> coeffs.levels
-    for _ in range(coeffs.levels):
-        out[: 2 * cur] = kernels.d4_synthesize(out[:cur], out[cur : 2 * cur])
-        cur *= 2
-    return out
+    return _inverse_pyramid(out, (0,), coeffs.levels)
 
 
 def _check_square(field, what: str) -> np.ndarray:
@@ -95,33 +123,20 @@ def _check_square(field, what: str) -> np.ndarray:
 
 def d4_forward_2d(field, levels: int | None = None) -> WaveletCoeffs:
     grid = _check_square(field, "field")
-    side = grid.shape[0]
-    levels = _check_levels(side, levels, "field side")
-    out = grid.copy()
-    s = side
-    for _ in range(levels):
-        block = out[:s, :s]
-        a, d = kernels.d4_analyze(block, axis=1)  # rows
-        block[:, : s // 2] = a
-        block[:, s // 2 :] = d
-        a, d = kernels.d4_analyze(block, axis=0)  # columns
-        block[: s // 2, :] = a
-        block[s // 2 :, :] = d
-        s //= 2
-    return WaveletCoeffs(out, levels)
+    levels = _check_levels(grid.shape[0], levels, "field side")
+    return WaveletCoeffs(_forward_pyramid(grid.copy(), (1, 0), levels), levels)
 
 
 def d4_inverse_2d(coeffs: WaveletCoeffs) -> np.ndarray:
     out = _check_square(coeffs.values, "coefficients").copy()
-    side = out.shape[0]
-    _check_levels(side, coeffs.levels, "field side")
-    s = side >> (coeffs.levels - 1)
-    for _ in range(coeffs.levels):
-        block = out[:s, :s]
-        block[:, :] = kernels.d4_synthesize(block[: s // 2, :], block[s // 2 :, :], axis=0)
-        block[:, :] = kernels.d4_synthesize(block[:, : s // 2], block[:, s // 2 :], axis=1)
-        s *= 2
-    return out
+    _check_levels(out.shape[0], coeffs.levels, "field side")
+    return _inverse_pyramid(out, (1, 0), coeffs.levels)
+
+
+def _tiles(grid: np.ndarray, tile: int) -> np.ndarray:
+    # tile (R, C) of the C-ordered copy is the view's [R, :, C, :]
+    side = grid.shape[0]
+    return grid.reshape(side // tile, tile, side // tile, tile)
 
 
 def tiled_forward_2d(field, tile_size: int) -> WaveletCoeffs:
@@ -132,13 +147,9 @@ def tiled_forward_2d(field, tile_size: int) -> WaveletCoeffs:
     if tile_size < 4 or side % tile_size != 0:
         raise QPhaseError("invalid-dimension",
                           f"tile_size {tile_size} must be >= 4 and divide the side {side}")
+    levels = _check_levels(tile_size, None, "field side")
     out = grid.copy()
-    levels = 0
-    for r in range(0, side, tile_size):
-        for c in range(0, side, tile_size):
-            sub = d4_forward_2d(out[r : r + tile_size, c : c + tile_size])
-            out[r : r + tile_size, c : c + tile_size] = sub.values
-            levels = sub.levels
+    _forward_pyramid(_tiles(out, tile_size), (3, 1), levels)
     return WaveletCoeffs(out, levels, tile_size=tile_size)
 
 
@@ -148,11 +159,9 @@ def tiled_inverse_2d(coeffs: WaveletCoeffs) -> np.ndarray:
     tile = coeffs.tile_size
     if tile < 4 or side % tile != 0:
         raise QPhaseError("invalid-dimension", f"tile_size {tile} does not divide the side {side}")
+    _check_levels(tile, coeffs.levels, "field side")
     out = grid.copy()
-    for r in range(0, side, tile):
-        for c in range(0, side, tile):
-            block = WaveletCoeffs(out[r : r + tile, c : c + tile], coeffs.levels)
-            out[r : r + tile, c : c + tile] = d4_inverse_2d(block)
+    _inverse_pyramid(_tiles(out, tile), (3, 1), coeffs.levels)
     return out
 
 

@@ -35,9 +35,7 @@ import numpy as np
 
 from . import rotator
 from .errors import QPhaseError
-from .statevec import as_state, qft
-
-PIPELINE_QUBIT_LIMIT = 10
+from .statevec import as_state, check_register, qft
 
 
 @dataclass
@@ -112,8 +110,7 @@ def wigner_from_momentum(state) -> WignerGrid:
     return wigner_direct(qft(np.asarray(state, dtype=np.complex128), "forward"))
 
 
-def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int,
-                             max_qubits: int = PIPELINE_QUBIT_LIMIT):
+def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int):
     """Simulate the doubled-register construction; returns (grid, final_state).
 
     The final statevector has 2N x 2N components laid out as |Theta>|n> with
@@ -121,10 +118,7 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int,
     sqrt(2N). Its n >= N half is produced by the pipeline's own phase stage
     and checked against the sign rule (extension_residue).
     """
-    if params.n_q > max_qubits:
-        raise QPhaseError("resource",
-                          f"pipeline simulates 2^(2 n_q + 2) amplitudes; n_q = {params.n_q} "
-                          f"exceeds the limit {max_qubits}")
+    check_register(2 * params.n_q + 2, f"the Wigner pipeline at n_q = {params.n_q}")
     psi0 = as_state(psi0)
     if psi0.size != params.N:
         raise QPhaseError("invalid-dimension",

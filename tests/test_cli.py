@@ -100,6 +100,12 @@ def test_scan_image_distribution(tmp_path, capsys):
     assert [int(ln.split(",")[1]) for ln in lines[1:]] == [6, 8, 10]
 
 
+def test_scan_unknown_image_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "image", "--fit-range", "6:8", "--image", "nope", "--out", "x"])
+    assert exc.value.code == 2
+
+
 def test_scan_empty_range_is_usage_error(tmp_path, capsys):
     # husimi scans need even qubit counts; a range with none is unusable
     out = tmp_path / "bad"
@@ -144,6 +150,23 @@ def test_reconstruct_parse_failure_exit_code(tmp_path):
         bad.write_bytes(payload)
         assert main(["reconstruct", str(bad), "--method", "topk", "--k", "4",
                      "--out", str(tmp_path / "r")]) == 4
+
+
+def test_reconstruct_missing_file_exit_code(tmp_path):
+    assert main(["reconstruct", str(tmp_path / "missing.pgm"), "--method", "topk",
+                 "--k", "4", "--out", str(tmp_path / "r")]) == 4
+
+
+def test_reconstruct_negative_seed_rejected(tmp_path):
+    src = tmp_path / "src.pgm"
+    imageio.save_pgm(imageio.synthetic_corpus(16)["texture"], src)
+    assert main(["reconstruct", str(src), "--method", "montecarlo", "--k", "50",
+                 "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
+
+
+def test_classical_negative_seed_rejected(tmp_path):
+    assert main(["classical", "--K", "1", "--t", "1", "--seed", "-1", "--shots", "10",
+                 "--out", str(tmp_path / "c")]) == 2
 
 
 def test_amplify_command_report(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qphase import kernels
-from qphase._accel import HAS_NUMBA
+from qphase.kernels import HAS_NUMBA
 
 needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 

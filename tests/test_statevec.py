@@ -8,6 +8,13 @@ from qphase import statevec
 from qphase.errors import QPhaseError
 
 
+def test_register_cap_is_inclusive():
+    statevec.check_register(statevec.REGISTER_QUBIT_LIMIT, "a register")
+    with pytest.raises(QPhaseError) as err:
+        statevec.check_register(statevec.REGISTER_QUBIT_LIMIT + 1, "a register")
+    assert err.value.category == "resource"
+
+
 def test_as_state_rejects_non_1d():
     with pytest.raises(QPhaseError) as err:
         statevec.as_state(np.ones((2, 2)) / 2.0)
