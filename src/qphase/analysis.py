@@ -11,7 +11,7 @@ from scipy import stats
 from . import husimi as husimi_mod
 from . import rotator, wavelet, wigner
 from .errors import QPhaseError
-from .wigner import wigner_ipr  # re-export: the grid variant lives with the grid
+from .wigner import wigner_ipr  # re-export: the fourth-power ratio lives with the grid
 
 __all__ = [
     "ScalingFit", "ScanRow", "ipr", "entropy", "ipr_ratio", "fit_scaling",
@@ -119,7 +119,7 @@ def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     psi = rotator.evolve(rotator.initial_band_state(params), params, t)
     grid = wigner.wigner_from_momentum(psi)
     full = grid.values
-    xi_raw = wigner_ipr(grid)
+    xi_raw = wigner_ipr(full)
     coeffs = wavelet.d4_forward_2d(full)
     xi_wav = wigner_ipr(coeffs.values)
     s = entropy(full * full * (2 * grid.N))

@@ -35,13 +35,13 @@ def _wavelet_case():
     return run
 
 
-def _stdmap_case():
+def _stdmap_case(advance):
     rng = _rng(1)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=1_000_000)
     p = rng.uniform(-np.pi, np.pi, size=1_000_000)
 
     def run():
-        kernels.stdmap_advance(theta.copy(), p.copy(), 2.0, 100)
+        advance(theta, p, 2.0, 100, True)
 
     return run
 
@@ -50,19 +50,17 @@ def main() -> None:
     wavelet_case = _wavelet_case()
     wavelet_case()
     print(f"{'d4_forward_2d 1024x1024':32s}  numpy: {_median_time(wavelet_case):8.4f}s")
-    modes = [("numpy", False)]
+    paths = [("numpy", kernels._stdmap_advance_np)]
     if kernels.HAS_NUMBA:
-        modes.append(("numba", True))
+        paths.append(("numba", kernels._stdmap_advance_nb))
     else:
         print("numba is not installed; timing the map's numpy path only")
-    stdmap_case = _stdmap_case()
     line = [f"{'stdmap 1e6 points x 100 steps':32s}"]
-    for name, enabled in modes:
-        kernels.use_numba(enabled)
+    for name, advance in paths:
+        stdmap_case = _stdmap_case(advance)
         stdmap_case()  # warm-up covers JIT compilation
         line.append(f"{name}: {_median_time(stdmap_case):8.4f}s")
     print("  ".join(line))
-    kernels.use_numba(True)
 
 
 if __name__ == "__main__":

@@ -49,6 +49,8 @@ def _fit_range(text: str):
         raise argparse.ArgumentTypeError(f"expected a:b, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if lo < 1:
+        raise argparse.ArgumentTypeError(f"qubit counts start at 1, got {text!r}")
     return lo, hi
 
 
@@ -125,7 +127,7 @@ def cmd_wigner(args) -> int:
     _write_manifest(outdir, "wigner",
                     {"K": args.K, "nq": args.nq, "t": args.t},
                     ["wigner.csv", "wigner.pgm"])
-    xi = wigner.wigner_ipr(grid)
+    xi = wigner.wigner_ipr(full)
     print(f"sum W        = {grid.total():.12f}")
     print(f"sum W^2      = {grid.total_sq():.12e} (target {1.0 / (2 * grid.N):.12e})")
     print(f"max |W|      = {grid.max_abs():.12e} (bound {1.0 / (2 * grid.N):.12e})")
@@ -176,6 +178,9 @@ def _scan_rows(args):
 
 
 def cmd_scan(args) -> int:
+    if args.distribution != "image" and (args.K is None or args.t is None):
+        raise QPhaseError("invalid-parameter",
+                          f"scan {args.distribution} needs --K and --t")
     outdir = _outdir(args)
     rows = _scan_rows(args)
     with open(outdir / "scan.csv", "w") as fh:
@@ -293,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="localization scan over qubit counts")
     sp.add_argument("distribution", choices=("wigner", "husimi", "image"))
-    sp.add_argument("--K", type=float, default=0.0, help="kick strength (rotator scans)")
-    sp.add_argument("--t", type=int, default=0, help="number of kicks (rotator scans)")
+    sp.add_argument("--K", type=float, help="kick strength (required for rotator scans)")
+    sp.add_argument("--t", type=int, help="number of kicks (required for rotator scans)")
     sp.add_argument("--fit-range", type=_fit_range, required=True, metavar="a:b",
                     help="inclusive qubit-count range to scan and fit")
     sp.add_argument("--tile", type=int, default=0, help="tile size (image scans)")

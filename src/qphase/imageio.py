@@ -96,7 +96,7 @@ def load_pgm(path) -> GrayImage:
     maxval_tok = _next_token(tokens, "maxval", len(data))
     maxval = _integer(maxval_tok, "maxval", 1 << 16)
     if not 1 <= maxval <= 255:
-        raise ParseError(f"maxval {maxval} outside [1, 255]", height_tok.end())
+        raise ParseError(f"maxval {maxval} outside [1, 255]", maxval_tok.start())
 
     count = width * height
     pos = maxval_tok.end()
@@ -125,10 +125,8 @@ def load_pgm(path) -> GrayImage:
             match = _next_token(tokens, f"pixel {i}", len(data))
             v = _integer(match, f"pixel {i}", 255)
             if v > maxval:
-                # located at the end of the previous token
-                raise ParseError(f"pixel value {v} exceeds maxval {maxval}", pos)
+                raise ParseError(f"pixel value {v} exceeds maxval {maxval}", match.start())
             px[i] = v
-            pos = match.end()
     return GrayImage(px.reshape(height, width))
 
 

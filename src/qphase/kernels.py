@@ -3,9 +3,8 @@ map ensemble advance.
 
 The D4 stencil is numpy only; it works along any axis, so 2D transforms
 need no transposes. The map advance exists in a pure-numpy form and, when
-numba imports, a compiled form; `use_numba()` selects between them at
-runtime. QPHASE_NUMBA=0 (or "false"/"no") starts on the numpy path even when
-numba is installed. The two map paths apply the same update in the same order.
+numba imports, a compiled form; `stdmap_advance` runs the compiled form
+whenever it exists. The two map paths apply the same update in the same order.
 
 Filter taps: h = ((1+r3), (3+r3), (3-r3), (1-r3)) / (4 sqrt 2) with r3=sqrt 3,
 g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
@@ -15,7 +14,6 @@ g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -30,19 +28,10 @@ _S2 = math.sqrt(2.0)
 D4_H = np.array([(1.0 + _R3), (3.0 + _R3), (3.0 - _R3), (1.0 - _R3)]) / (4.0 * _S2)
 D4_G = np.array([D4_H[3], -D4_H[2], D4_H[1], -D4_H[0]])
 
-_use_numba = HAS_NUMBA and (
-    os.environ.get("QPHASE_NUMBA", "1").strip().lower() not in ("0", "false", "no"))
-
-
-def use_numba(enabled: bool) -> bool:
-    """Select the map kernel path; returns the value actually in effect."""
-    global _use_numba
-    _use_numba = bool(enabled) and HAS_NUMBA
-    return _use_numba
-
 
 def numba_active() -> bool:
-    return _use_numba
+    """Whether `stdmap_advance` runs the compiled loop: numba imported."""
+    return HAS_NUMBA
 
 
 def _along(ndim: int, axis: int, sl: slice) -> tuple:
@@ -126,6 +115,6 @@ def stdmap_advance(theta, p, K: float, t: int, wrap_p: bool = True):
     """Advance (theta, p) ensembles t map steps; coordinates stay float64."""
     th = np.ascontiguousarray(theta, dtype=np.float64)
     pp = np.ascontiguousarray(p, dtype=np.float64)
-    if _use_numba:
+    if HAS_NUMBA:
         return _stdmap_advance_nb(th, pp, float(K), int(t), wrap_p)
     return _stdmap_advance_np(th.copy(), pp.copy(), float(K), int(t), wrap_p)

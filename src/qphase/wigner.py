@@ -20,10 +20,12 @@ so they can verify each other:
   then split once more and phase-corrected, leaving amplitudes
   sqrt(2N) W(Theta, n).
 
-The grid is stored as its distinct (2N, N) block; the n >= N half follows
-from the exact phase relation e^{- pi i (n+N) Theta / N} =
-(-1)^Theta e^{- pi i n Theta / N}, so W(Theta, n+N) = (-1)^Theta W(Theta, n).
-Sum rules under this convention, used as invariants: sum W = 1,
+Both store the whole (2N, 2N) grid. Only its (2N, N) block is distinct:
+the exact phase relation e^{- pi i (n+N) Theta / N} =
+(-1)^Theta e^{- pi i n Theta / N} gives W(Theta, n+N) = (-1)^Theta W(Theta, n).
+`wigner_direct` fills the n >= N half by that sign rule; the pipeline keeps
+the half its own phase stage computed and records how far it is from the
+rule. Sum rules under this convention, used as invariants: sum W = 1,
 sum W^2 = 1/(2N), |W| <= 1/(2N).
 """
 
@@ -40,7 +42,7 @@ from .statevec import as_state, check_register, qft
 
 @dataclass
 class WignerGrid:
-    """W(Theta, n) stored as the (2N, N) block plus the extension rule.
+    """W(Theta, n) on the whole (2N, 2N) doubled grid.
 
     imag_residue is the largest imaginary part discarded when the grid was
     built; extension_residue is the largest deviation of an independently
@@ -48,26 +50,19 @@ class WignerGrid:
     produced by the rule itself).
     """
 
-    half: np.ndarray
+    values: np.ndarray
     N: int
     imag_residue: float = 0.0
     extension_residue: float = 0.0
 
-    @property
-    def values(self) -> np.ndarray:
-        """Full (2N, 2N) grid, materialized on demand."""
-        signs = _row_signs(self.N)
-        return np.concatenate([self.half, signs * self.half], axis=1)
-
     def total(self) -> float:
-        # odd-Theta rows cancel between the two halves
-        return 2.0 * float(self.half[::2, :].sum())
+        return float(self.values.sum())
 
     def total_sq(self) -> float:
-        return 2.0 * float(np.sum(self.half * self.half))
+        return float(np.sum(self.values * self.values))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.half))) if self.half.size else 0.0
+        return float(np.max(np.abs(self.values)))
 
 
 def _row_signs(N: int) -> np.ndarray:
@@ -102,7 +97,9 @@ def wigner_direct(state) -> WignerGrid:
     n = np.arange(N, dtype=np.float64)[None, :]
     half = F * np.exp(1j * np.pi * Theta * n / N) / (2.0 * N)
     residue = float(np.max(np.abs(half.imag)))
-    return WignerGrid(half=half.real, N=N, imag_residue=residue)
+    h = half.real
+    values = np.concatenate([h, _row_signs(N) * h], axis=1)
+    return WignerGrid(values=values, N=N, imag_residue=residue)
 
 
 def wigner_from_momentum(state) -> WignerGrid:
@@ -115,8 +112,8 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int):
 
     The final statevector has 2N x 2N components laid out as |Theta>|n> with
     amplitudes sqrt(2N) W(Theta, n); the grid is read off by dividing by
-    sqrt(2N). Its n >= N half is produced by the pipeline's own phase stage
-    and checked against the sign rule (extension_residue).
+    sqrt(2N). The grid keeps the n >= N half that the pipeline's own phase
+    stage produced; extension_residue is its deviation from the sign rule.
     """
     check_register(2 * params.n_q + 2, f"the Wigner pipeline at n_q = {params.n_q}")
     psi0 = as_state(psi0)
@@ -140,27 +137,23 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int):
     final_state = T3.reshape(-1)
     W = T3 / np.sqrt(2.0 * N)
     residue = float(np.max(np.abs(W.imag)))
-    W = W.real
-    signs = _row_signs(N)
-    ext = float(np.max(np.abs(W[:, N:] - signs * W[:, :N])))
-    grid = WignerGrid(half=W[:, :N].copy(), N=N, imag_residue=residue,
-                      extension_residue=ext)
+    W = W.real.copy()
+    ext = float(np.max(np.abs(W[:, N:] - _row_signs(N) * W[:, :N])))
+    grid = WignerGrid(values=W, N=N, imag_residue=residue, extension_residue=ext)
     return grid, final_state
 
 
-def wigner_ipr(grid) -> float:
-    """xi = 1 / (N^2 sum W^4) over the full doubled grid.
+def wigner_ipr(values) -> float:
+    """xi = 1 / (N^2 sum W^4) over the whole (2N, 2N) grid.
 
-    grid is a WignerGrid, whose n >= N half carries the same fourth powers as
-    the stored half, or the full (2N, 2N) grid in any orthonormal basis, such
-    as its D4 coefficients. The fourth power, not the second, since W itself
-    plays the role of a signed weight on the doubled grid.
+    values is a grid's `values`, or the same grid in any orthonormal basis,
+    such as its D4 coefficients. The fourth power, not the second, since W
+    itself plays the role of a signed weight on the doubled grid.
     """
-    if isinstance(grid, WignerGrid):
-        N, fourth = grid.N, 2.0 * float(np.sum(grid.half ** 4))
-    else:
-        values = np.asarray(grid, dtype=np.float64)
-        N, fourth = values.shape[0] // 2, float(np.sum(values ** 4))
+    v = np.asarray(values, dtype=np.float64)
+    s = v * v
+    s *= s
+    fourth = float(np.sum(s))
     if fourth == 0.0:
         raise QPhaseError("degenerate-input", "all-zero grid has no participation ratio")
-    return 1.0 / (N ** 2 * fourth)
+    return 1.0 / ((v.shape[0] // 2) ** 2 * fourth)

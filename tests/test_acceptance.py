@@ -107,8 +107,9 @@ def test_criterion_4_wigner_ipr_scaling():
     def fit(xis):
         return analysis.fit_scaling(zip(sizes, xis))
 
-    raw_05 = fit([np.mean([wigner.wigner_ipr(wigner.wigner_from_momentum(evolved_band(n, 0.5, t)))
-                           for t in kicks]) for n in sizes])
+    raw_05 = fit([np.mean([wigner.wigner_ipr(wigner.wigner_from_momentum(
+                               evolved_band(n, 0.5, t)).values) for t in kicks])
+                  for n in sizes])
     rows_2 = [[wigner_row(2.0, n, t) for t in kicks] for n in sizes]
     raw_2 = fit([np.mean([r.xi_raw for r in rows]) for rows in rows_2])
     wav_2 = fit([np.mean([r.xi_wavelet for r in rows]) for rows in rows_2])

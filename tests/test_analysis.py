@@ -148,6 +148,10 @@ def test_image_scan_row_uses_wavelet_entropy():
     row = analysis.image_scan_row(field, 8)
     assert row.K == 0.0 and row.n_q == 8
     assert row.R == pytest.approx(row.xi_raw / row.xi_wavelet)
+    weights = analysis.wavelet_weights(wavelet.d4_forward_2d(field))
+    assert row.S == analysis.entropy(weights)
+    # the raw field's entropy differs, so the assertion tells the two apart
+    assert row.S != analysis.entropy(field.reshape(-1) ** 2)
 
 
 def test_mixed_regime_ratio_grows_slowly_with_system_size():

@@ -1,12 +1,15 @@
 """Command-line behavior: outputs, manifests, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qphase import analysis, imageio
+from qphase import analysis, cli, imageio
 from qphase.cli import main
 
 
@@ -114,6 +117,17 @@ def test_scan_empty_range_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_rotator_scan_needs_kick_strength_and_count(tmp_path):
+    # without --K and --t a rotator scan would fit the unevolved state at K = 0
+    for flags in ([], ["--K", "2"], ["--t", "10"]):
+        out = tmp_path / "none"
+        assert main(["scan", "wigner", *flags, "--fit-range", "5:7",
+                     "--out", str(out)]) == 2
+        assert main(["scan", "husimi", *flags, "--fit-range", "4:8",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_malformed_fit_range_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["scan", "wigner", "--K", "1", "--t", "1", "--fit-range", "57", "--out", "x"])
@@ -200,3 +214,41 @@ def test_negative_region_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["amplify", "--K", "0.5", "--nq", "3", "--t", "0", "--region=-4:-1,0:8"])
     assert exc.value.code == 2
+
+
+# Fixed example sequence and no per-example deadline: the suite must give the
+# same verdict on every run, also on a loaded machine.
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+_NUMBER = st.from_regex(r"\A[+-]?[0-9]{1,3}\Z")
+
+
+def _rejected_with_exit_2(argv) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@_PROPERTY
+@given(st.one_of(st.text(max_size=12),
+                 st.builds(lambda a, b: f"{a}:{b}", _NUMBER, _NUMBER)))
+def test_property_fit_range_is_valid_or_usage_error(text):
+    try:
+        lo, hi = cli._fit_range(text)
+    except argparse.ArgumentTypeError:
+        _rejected_with_exit_2(["scan", "image", f"--fit-range={text}", "--out", "x"])
+        return
+    assert 1 <= lo <= hi
+
+
+@_PROPERTY
+@given(st.one_of(st.text(max_size=16),
+                 st.builds(lambda a, b, c, d: f"{a}:{b},{c}:{d}",
+                           _NUMBER, _NUMBER, _NUMBER, _NUMBER)))
+def test_property_region_is_valid_or_usage_error(text):
+    try:
+        r0, r1, c0, c1 = cli._region(text)
+    except argparse.ArgumentTypeError:
+        _rejected_with_exit_2(["amplify", "--K", "0.5", "--nq", "3", "--t", "0",
+                               f"--region={text}"])
+        return
+    assert 0 <= r0 < r1 and 0 <= c0 < c1

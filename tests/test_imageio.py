@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qphase import imageio
 from qphase.errors import ParseError, QPhaseError
@@ -73,6 +75,24 @@ def test_pixel_above_maxval_located(tmp_path):
     with pytest.raises(ParseError) as err:
         imageio.load_pgm(path)
     assert err.value.byte_offset == len(header) + 2
+
+
+def test_p2_pixel_above_maxval_located_at_its_token(tmp_path):
+    path = tmp_path / "img.pgm"
+    data = b"P2\n2 1\n100\n1   200\n"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        imageio.load_pgm(path)
+    assert err.value.byte_offset == data.index(b"200")
+
+
+def test_p2_maxval_out_of_range_located_at_its_token(tmp_path):
+    path = tmp_path / "img.pgm"
+    data = b"P2\n2 1\n   300\n1 2\n"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        imageio.load_pgm(path)
+    assert err.value.byte_offset == data.index(b"300")
 
 
 def test_p2_non_integer_pixel(tmp_path):
@@ -189,3 +209,56 @@ def test_corpus_side_validation():
         with pytest.raises(QPhaseError) as err:
             imageio.synthetic_corpus(bad)
         assert err.value.category == "invalid-parameter"
+
+
+# Fixed example sequence and no per-example deadline: the suite must give the
+# same verdict on every run, also on a loaded machine.
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+P2_FIXTURE = b"P2\n# a comment\n2 2 # trailing\n200\n0 199\n128 64\n"
+
+
+@pytest.fixture(scope="module")
+def pgm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pgm") / "img.pgm"
+
+
+def _loads_or_parse_error(path, data: bytes) -> None:
+    # a GrayImage or a located ParseError; nothing else may escape
+    path.write_bytes(data)
+    try:
+        img = imageio.load_pgm(path)
+    except ParseError as exc:
+        assert 0 <= exc.byte_offset <= len(data)
+        return
+    assert isinstance(img, imageio.GrayImage)
+    assert img.pixels.dtype == np.uint8 and img.pixels.size > 0
+
+
+@st.composite
+def _mutated(draw, base: bytes):
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b"0123456789 \t\n#P-+\x00\xff"))
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if kind == "insert" or i == len(data):
+            data.insert(i, byte)
+        elif kind == "replace":
+            data[i] = byte
+        else:
+            del data[i]
+    return bytes(data)
+
+
+@_PROPERTY
+@given(st.one_of(st.binary(max_size=64),
+                 st.builds(bytes.__add__, st.sampled_from((b"P2\n", b"P5\n")),
+                           st.binary(max_size=64))))
+def test_property_arbitrary_bytes_load_or_raise_parse_error(pgm_path, data):
+    _loads_or_parse_error(pgm_path, data)
+
+
+@_PROPERTY
+@given(st.one_of(_mutated(P2_FIXTURE), _mutated(P5_FIXTURE)))
+def test_property_mutated_files_load_or_raise_parse_error(pgm_path, data):
+    _loads_or_parse_error(pgm_path, data)

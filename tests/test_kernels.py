@@ -9,32 +9,14 @@ from qphase.kernels import HAS_NUMBA
 needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
 
-@pytest.fixture
-def restore_path():
-    # leave the globally selected kernel path as we found it
-    before = kernels.numba_active()
-    yield
-    kernels.use_numba(before)
-
-
-def test_use_numba_reports_effective_value(restore_path):
-    # disabling always sticks; enabling only sticks when numba exists
-    assert kernels.use_numba(False) is False
-    assert kernels.numba_active() is False
-    assert kernels.use_numba(True) == HAS_NUMBA
-    assert kernels.numba_active() == HAS_NUMBA
-
-
 @needs_numba
-def test_stdmap_advance_paths_agree(restore_path):
+def test_stdmap_advance_paths_agree():
     rng = np.random.default_rng(2)
     theta = rng.uniform(0, 2 * np.pi, size=1000)
     p = rng.uniform(-np.pi, np.pi, size=1000)
     for wrap in (True, False):
-        kernels.use_numba(False)
-        th_np, p_np = kernels.stdmap_advance(theta, p, 1.3, 20, wrap_p=wrap)
-        kernels.use_numba(True)
-        th_nb, p_nb = kernels.stdmap_advance(theta, p, 1.3, 20, wrap_p=wrap)
+        th_np, p_np = kernels._stdmap_advance_np(theta, p, 1.3, 20, wrap)
+        th_nb, p_nb = kernels._stdmap_advance_nb(theta, p, 1.3, 20, wrap)
         # identical update order, so agreement is tight even after 20 steps
         assert np.max(np.abs(th_np - th_nb)) < 1e-9
         assert np.max(np.abs(p_np - p_nb)) < 1e-9
