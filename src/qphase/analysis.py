@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from . import husimi as husimi_mod
 from . import rotator, wavelet, wigner
@@ -63,7 +64,11 @@ def ipr(weights) -> float:
 
 
 def entropy(weights) -> float:
-    """Shannon entropy in bits of a weight vector, renormalized internally."""
+    """Shannon entropy in bits of a weight vector, renormalized internally.
+
+    One normalized copy is made; -p ln p (0 at p = 0) is then taken in place
+    on it, so zero weights need no mask.
+    """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if np.any(w < 0):
         raise QPhaseError("invalid-parameter", "weights must be nonnegative")
@@ -73,8 +78,8 @@ def entropy(weights) -> float:
     if abs(total - 1.0) > 1e-8:
         warnings.warn(f"weights sum to {total:.6g}; renormalizing")
     p = w / total
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+    special.entr(p, out=p)
+    return float(np.sum(p)) / math.log(2.0)
 
 
 def ipr_ratio(xi_raw: float, xi_wavelet: float) -> float:
@@ -114,15 +119,22 @@ def wavelet_weights(coeffs: wavelet.WaveletCoeffs) -> np.ndarray:
 
 
 def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
-    """Evolve the band state and tabulate localization measures."""
+    """Evolve the band state and tabulate localization measures.
+
+    S is the entropy of p = 2N W^2 over the whole grid. W^2 is the same in
+    the n < N and n >= N halves, so S is taken from the left half alone,
+    normalized on its own (4N W^2), plus one bit.
+    """
     params = rotator.RotatorParams(n_q=n_q, K=K)
     psi = rotator.evolve(rotator.initial_band_state(params), params, t)
     grid = wigner.wigner_from_momentum(psi)
     full = grid.values
     xi_raw = wigner_ipr(full)
-    coeffs = wavelet.d4_forward_2d(full)
-    xi_wav = wigner_ipr(coeffs.values)
-    s = entropy(full * full * (2 * grid.N))
+    xi_wav = wigner_ipr(wavelet.d4_forward_2d(full).values)
+    left = full[:, :grid.N]
+    weights = np.multiply(left, left)
+    weights *= 4 * grid.N
+    s = entropy(weights) + 1.0
     return ScanRow(K=K, n_q=n_q, xi_raw=xi_raw, xi_wavelet=xi_wav,
                    R=ipr_ratio(xi_raw, xi_wav), S=s)
 

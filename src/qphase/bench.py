@@ -1,9 +1,10 @@
-"""Timing of the two hot kernels.
+"""Timing of the hot kernels.
 
 Run as `python -m qphase.bench`. Reports the median of three passes for the
-2D wavelet pyramid, which has one numpy path, and for the classical map on
-its numpy path and, when numba is installed, its compiled path, so the
-speedup of the compiled path is visible at a glance.
+paired-FFT Wigner grid at n_q = 11 and the 2D wavelet pyramid, which have
+one numpy path each, and for the classical map on its numpy path and, when
+numba is installed, its compiled path, so the speedup of the compiled path
+is visible at a glance.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ def _wavelet_case():
     return run
 
 
+def _wigner_case():
+    rng = _rng(2)
+    psi = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+    psi /= np.linalg.norm(psi)
+
+    def run():
+        from . import wigner
+        wigner.wigner_direct(psi)
+
+    return run
+
+
 def _stdmap_case(advance):
     rng = _rng(1)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=1_000_000)
@@ -47,9 +60,10 @@ def _stdmap_case(advance):
 
 
 def main() -> None:
-    wavelet_case = _wavelet_case()
-    wavelet_case()
-    print(f"{'d4_forward_2d 1024x1024':32s}  numpy: {_median_time(wavelet_case):8.4f}s")
+    for label, case in (("wigner_direct n_q=11", _wigner_case()),
+                        ("d4_forward_2d 1024x1024", _wavelet_case())):
+        case()
+        print(f"{label:32s}  numpy: {_median_time(case):8.4f}s")
     paths = [("numpy", kernels._stdmap_advance_np)]
     if kernels.HAS_NUMBA:
         paths.append(("numba", kernels._stdmap_advance_nb))

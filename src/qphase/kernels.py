@@ -44,23 +44,61 @@ _EVEN = slice(0, None, 2)
 _ODD = slice(1, None, 2)
 
 
-def d4_analyze(x: np.ndarray, axis: int = -1):
+# outputs per stencil pass: a batch axis is cut into chunks of about this
+# many samples, so the scratch product stays in cache
+_CHUNK = 1 << 18
+
+
+def _d4_level(e, o, axis, out, scratch):
+    head = _along(e.ndim, axis, slice(None, -1))
+    tail = _along(e.ndim, axis, slice(1, None))
+    last = _along(e.ndim, axis, slice(-1, None))
+    first = _along(e.ndim, axis, slice(0, 1))
+    for (t0, t1, t2, t3), y in zip((D4_H, D4_G), out):
+        np.multiply(e, t0, out=y)
+        np.multiply(o, t1, out=scratch)
+        y += scratch
+        for tap, samples in ((t2, e), (t3, o)):
+            np.multiply(samples, tap, out=scratch)
+            y[head] += scratch[tail]
+            y[last] += scratch[first]
+
+
+def d4_analyze(x: np.ndarray, axis: int = -1, out=None):
     """One analysis level along `axis`; returns (approx, detail).
 
     Polyphase form: with even samples e and odd samples o, coefficient k is
-    h0 e[k] + h1 o[k] + h2 e[k+1] + h3 o[k+1], indices wrapped.
+    h0 e[k] + h1 o[k] + h2 e[k+1] + h3 o[k+1], indices wrapped. out, when
+    given, is a pair of arrays of the half-length shape to write into; they
+    must not overlap x.
+
+    Each output is built as y = t0 e, y += t1 o, y += t2 e1, y += t3 o1, the
+    left-to-right order of the sum above, so the bits equal those of the
+    plain expression (a regrouped sum rounds differently). The wrapped terms
+    e1 = e[k+1] and o1 = o[k+1] come from one product shifted by one sample
+    plus its one wrapped edge element. One scratch buffer holds every
+    product; on 2D and higher input it covers one chunk of the first other
+    axis at a time.
     """
     x = np.asarray(x, dtype=np.float64)
+    axis %= x.ndim
     e = x[_along(x.ndim, axis, _EVEN)]
     o = x[_along(x.ndim, axis, _ODD)]
-    e1 = np.roll(e, -1, axis=axis)
-    o1 = np.roll(o, -1, axis=axis)
-    h0, h1, h2, h3 = D4_H
-    g0, g1, g2, g3 = D4_G
-    # taps summed in order 0..3: a regrouped sum rounds differently
-    a = h0 * e + h1 * o + h2 * e1 + h3 * o1
-    d = g0 * e + g1 * o + g2 * e1 + g3 * o1
-    return a, d
+    if out is None:
+        out = (np.empty(e.shape), np.empty(e.shape))
+    if e.ndim == 1:
+        parts = [()]
+    else:
+        batch = 1 if axis == 0 else 0
+        step = max(1, _CHUNK * e.shape[batch] // e.size)
+        parts = [_along(e.ndim, batch, slice(i, i + step))
+                 for i in range(0, e.shape[batch], step)]
+    scratch = np.empty(e[parts[0]].shape)
+    for part in parts:
+        chunk = e[part]
+        _d4_level(chunk, o[part], axis, (out[0][part], out[1][part]),
+                  scratch[tuple(map(slice, chunk.shape))])
+    return out
 
 
 def d4_synthesize(a: np.ndarray, d: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -71,14 +71,22 @@ def _forward_pyramid(out: np.ndarray, axes, levels: int) -> np.ndarray:
 
     Every axis in axes has the same length; any other axis is a batch axis,
     so a (side/t, t, side/t, t) view with axes (3, 1) moves all tiles at once.
+    One workspace of out's shape is allocated once: each pass along an axis
+    writes the active block from one array into the other, so with two axes
+    a level ends back in out and only an odd axis count needs a copy back.
     """
+    work = np.empty_like(out)
     n = out.shape[axes[0]]
     for _ in range(levels):
         block = _active(out, axes, n)
+        src, dst = block, _active(work, axes, n)
         for ax in axes:
-            a, d = kernels.d4_analyze(block, axis=ax)
-            block[kernels._along(block.ndim, ax, slice(0, n // 2))] = a
-            block[kernels._along(block.ndim, ax, slice(n // 2, n))] = d
+            kernels.d4_analyze(src, axis=ax, out=(
+                dst[kernels._along(dst.ndim, ax, slice(0, n // 2))],
+                dst[kernels._along(dst.ndim, ax, slice(n // 2, n))]))
+            src, dst = dst, src
+        if src is not block:
+            block[...] = src
         n //= 2
     return out
 

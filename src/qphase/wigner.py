@@ -8,16 +8,22 @@ so they can verify each other:
       W(Theta, n) = (1/2N) sum_m e^{-2 pi i n (m - Theta/2)/N}
                               psi*(Theta - m) psi(m)
 
-  over Theta in {0..2N-1}, n in {0..2N-1}. The pair index Theta - m is plain
-  integer arithmetic: only terms with both m and Theta - m inside {0..N-1}
-  contribute, which is exactly the pair set an adder register can produce.
-  The half-integer phase is evaluated exactly as e^{+ pi i n Theta / N}.
+  over Theta in {0..2N-1}, n in {0..2N-1}. Only terms with both m and
+  Theta - m inside {0..N-1} contribute. Writing Theta = 2s + q (q in {0, 1})
+  and m = s + k, row Theta is one length-N DFT over k of the pair kernel
+  psi*(s+q-k) psi(s+k), with k in [-N/2, N/2) for even rows and
+  (-N/2, N/2] for odd rows, times the twiddle (-1)^n (even) or
+  (-1)^n e^{-i pi n/N} (odd). Every row is real, and rows Theta and
+  Theta + N share a parity, so one complex FFT of
+  (kernel of Theta) + i (kernel of Theta + N) gives both rows: the real part
+  is row Theta, the imaginary part row Theta + N. The kernels are products of
+  two sliding windows over psi zero-padded to 3N, one of them reversed.
 
 * `wigner_register_pipeline` simulates the register construction: two copies
   of the initial state evolved independently (the second conjugated),
-  transformed to the angle basis, summed into a carry-extended register
-  |theta>|theta'> -> |theta + theta'>|theta'>, second register transformed,
-  then split once more and phase-corrected, leaving amplitudes
+  transformed to the angle basis, scattered into a carry-extended register
+  |theta>|theta'> -> |theta + theta'>|theta'> by the adder, second register
+  transformed, then split once more and phase-corrected, leaving amplitudes
   sqrt(2N) W(Theta, n).
 
 Both store the whole (2N, 2N) grid. Only its (2N, N) block is distinct:
@@ -34,10 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rotator
 from .errors import QPhaseError
 from .statevec import as_state, check_register, qft
+
+
+# samples per block of the fourth-power sum in wigner_ipr
+_IPR_BLOCK = 1 << 16
 
 
 @dataclass
@@ -45,9 +56,12 @@ class WignerGrid:
     """W(Theta, n) on the whole (2N, 2N) doubled grid.
 
     imag_residue is the largest imaginary part discarded when the grid was
-    built; extension_residue is the largest deviation of an independently
-    constructed n >= N half from the sign rule (0.0 when the half was
-    produced by the rule itself).
+    built. The paired route of `wigner_direct` discards none (round-off moves
+    between the two rows of a pair instead), so it reports the largest |Im|
+    of one unpaired reference row per parity, rows N - 2 and N - 1, each
+    transformed on its own. extension_residue is the largest deviation of an
+    independently constructed n >= N half from the sign rule (0.0 when the
+    half was produced by the rule itself).
     """
 
     values: np.ndarray
@@ -72,7 +86,11 @@ def _row_signs(N: int) -> np.ndarray:
 
 
 def _scatter_pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """G[j + m, m] = left[j] * right[m] on a (2N, N) carry-extended grid."""
+    """G[j + m, m] = left[j] * right[m] on a (2N, N) carry-extended grid.
+
+    The adder register of wigner_register_pipeline; wigner_direct pairs rows
+    through sliding windows instead.
+    """
     N = left.size
     G = np.zeros((2 * N, N), dtype=np.complex128)
     m = np.arange(N)
@@ -90,15 +108,37 @@ def wigner_direct(state) -> WignerGrid:
     N = psi.size
     if N < 2:
         raise QPhaseError("invalid-dimension", "need at least a one-qubit state")
-    G = _scatter_pair_products(psi.conj(), psi)
-    # column FFT gives sum_m G[Theta, m] e^{-2 pi i n m / N} for n < N
-    F = np.fft.fft(G, axis=1)
-    Theta = np.arange(2 * N, dtype=np.float64)[:, None]
-    n = np.arange(N, dtype=np.float64)[None, :]
-    half = F * np.exp(1j * np.pi * Theta * n / N) / (2.0 * N)
-    residue = float(np.max(np.abs(half.imag)))
-    h = half.real
-    values = np.concatenate([h, _row_signs(N) * h], axis=1)
+    h = N // 2
+    padded = np.zeros(3 * N, dtype=np.complex128)
+    padded[N:2 * N] = psi
+    # left[s, j] = psi*(s + q - k) and right[s + q, j] = psi(s + k), with
+    # k = j - N/2 + q: the pair kernel of row Theta = 2s + q is their product
+    left = sliding_window_view(padded.conj(), N)[h + 1:h + 1 + N, ::-1]
+    right = sliding_window_view(padded, N)[h:h + N + 1]
+    n = np.arange(N)
+    sign = np.where(n % 2 == 0, 1.0, -1.0) / (2.0 * N)
+    values = np.empty((2 * N, 2 * N))
+    pair = np.empty((h, N), dtype=np.complex128)
+    other = np.empty_like(pair)
+    residue = 0.0
+    for q in (0, 1):
+        twiddle = sign * np.exp(-1j * np.pi * q * n / N)
+        # rows Theta = 2s + q (s < N/2) in the real part, Theta + N in the imaginary
+        np.multiply(left[:h], right[q:q + h], out=pair)
+        np.multiply(left[h:], right[q + h:q + N], out=other)
+        other *= 1j
+        pair += other
+        np.fft.fft(pair, axis=1, out=pair)
+        pair *= twiddle
+        rows = values[q::2]
+        rows[:h, :N] = pair.real
+        rows[h:, :N] = pair.imag
+        if q:
+            np.negative(rows[:, :N], out=rows[:, N:])
+        else:
+            rows[:, N:] = rows[:, :N]
+        reference = np.fft.fft(left[h - 1] * right[h - 1 + q]) * twiddle
+        residue = max(residue, float(np.max(np.abs(reference.imag))))
     return WignerGrid(values=values, N=N, imag_residue=residue)
 
 
@@ -148,12 +188,20 @@ def wigner_ipr(values) -> float:
 
     values is a grid's `values`, or the same grid in any orthonormal basis,
     such as its D4 coefficients. The fourth power, not the second, since W
-    itself plays the role of a signed weight on the doubled grid.
+    itself plays the role of a signed weight on the doubled grid. The fourth
+    powers are taken as squared squares, in blocks of one reused buffer, so
+    no grid-sized temporary is made.
     """
     v = np.asarray(values, dtype=np.float64)
-    s = v * v
-    s *= s
-    fourth = float(np.sum(s))
+    flat = v.reshape(-1)
+    buf = np.empty(min(flat.size, _IPR_BLOCK))
+    fourth = 0.0
+    for start in range(0, flat.size, _IPR_BLOCK):
+        chunk = flat[start:start + _IPR_BLOCK]
+        s = buf[:chunk.size]
+        np.multiply(chunk, chunk, out=s)
+        s *= s
+        fourth += float(np.sum(s))
     if fourth == 0.0:
         raise QPhaseError("degenerate-input", "all-zero grid has no participation ratio")
     return 1.0 / ((v.shape[0] // 2) ** 2 * fourth)

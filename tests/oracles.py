@@ -84,6 +84,21 @@ def d4_analysis_matrix(length: int) -> np.ndarray:
     return mat
 
 
+def d4_level_reference(x: np.ndarray, axis: int):
+    # one D4 analysis level along axis as the plain polyphase expression,
+    # wrapped neighbours taken with np.roll and the taps summed in order
+    rt3 = np.sqrt(3.0)
+    h = np.array([1.0 + rt3, 3.0 + rt3, 3.0 - rt3, 1.0 - rt3]) / (4.0 * np.sqrt(2.0))
+    g = np.array([h[3], -h[2], h[1], -h[0]])
+    e = np.take(x, np.arange(0, x.shape[axis], 2), axis=axis)
+    o = np.take(x, np.arange(1, x.shape[axis], 2), axis=axis)
+    e1 = np.roll(e, -1, axis=axis)
+    o1 = np.roll(o, -1, axis=axis)
+    a = h[0] * e + h[1] * o + h[2] * e1 + h[3] * o1
+    d = g[0] * e + g[1] * o + g[2] * e1 + g[3] * o1
+    return a, d
+
+
 def brute_modified_husimi(psi_momentum: np.ndarray) -> np.ndarray:
     # H(l, j) = N^{-1/4} sum_{r=0}^{sqrt(N)-1} exp(i theta0 n) psi(n),
     # n = j sqrt(N) + r, theta0 = 2 pi l / sqrt(N)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qphase import analysis, wavelet
+from qphase import analysis, rotator, wavelet, wigner
 from qphase.errors import QPhaseError
 
 
@@ -133,6 +133,29 @@ def test_wigner_scan_row_contents():
     assert row.K == 0.5 and row.n_q == 5
     assert row.xi_raw > 0 and row.xi_wavelet > 0
     assert row.R == pytest.approx(row.xi_raw / row.xi_wavelet)
+
+
+def test_wigner_scan_row_entropy_matches_whole_grid():
+    # S comes from the left (2N, N) half plus one bit; the whole-grid
+    # definition must agree
+    for n_q in (5, 6, 7):
+        for K in (0.5, 2.0):
+            row = analysis.wigner_scan_row(K, n_q, t=50)
+            params = rotator.RotatorParams(n_q=n_q, K=K)
+            psi = rotator.evolve(rotator.initial_band_state(params), params, 50)
+            grid = wigner.wigner_from_momentum(psi)
+            whole = analysis.entropy(grid.values * grid.values * (2 * grid.N))
+            assert row.S == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+
+def test_entropy_matches_the_plain_sum_with_zero_weights():
+    rng = np.random.default_rng(6)
+    w = rng.uniform(size=1000)
+    w[::3] = 0.0
+    p = w / w.sum()
+    nz = p[p > 0]
+    plain = -np.sum(nz * np.log2(nz))
+    assert analysis.entropy(p) == pytest.approx(plain, rel=1e-14, abs=0.0)
 
 
 def test_husimi_scan_row_needs_even_qubits():

@@ -95,6 +95,17 @@ def test_p2_maxval_out_of_range_located_at_its_token(tmp_path):
     assert err.value.byte_offset == data.index(b"300")
 
 
+def test_zero_pixel_image_located_at_the_zero(tmp_path):
+    # the width token when the width is zero, else the height token
+    path = tmp_path / "img.pgm"
+    for data, offset in ((b"P2\n0 5\n255\n", 3), (b"P2\n5 0\n255\n", 5)):
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            imageio.load_pgm(path)
+        assert "zero pixels" in str(err.value)
+        assert err.value.byte_offset == offset
+
+
 def test_p2_non_integer_pixel(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P2\n2 1\n255\n12 zz\n")

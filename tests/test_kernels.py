@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qphase import kernels
 from qphase.kernels import HAS_NUMBA
 
@@ -37,3 +38,30 @@ def test_stdmap_advance_leaves_inputs_untouched():
     kernels.stdmap_advance(theta, p, 2.0, 3)
     assert np.array_equal(theta, [1.0, 2.0])
     assert np.array_equal(p, [0.5, -0.5])
+
+
+def test_analyze_is_bit_identical_to_the_roll_expression():
+    # 1D, 2D along both axes, and the tiled (side/t, t, side/t, t) view along
+    # the two axes the tiled pyramid uses; sizes span one chunk and several
+    rng = np.random.default_rng(4)
+    cases = [(rng.normal(size=n), 0) for n in (2, 4, 64, 1 << 12)]
+    for side in (4, 32, 1024):
+        field = rng.normal(size=(side, side))
+        cases += [(field, 0), (field, 1), (field, -1)]
+    for side, tile in ((16, 4), (64, 8), (1024, 16)):
+        tiled = rng.normal(size=(side, side)).reshape(side // tile, tile, side // tile, tile)
+        cases += [(tiled, 3), (tiled, 1)]
+    for x, axis in cases:
+        a, d = kernels.d4_analyze(x, axis=axis)
+        ref_a, ref_d = oracles.d4_level_reference(x, axis)
+        assert np.array_equal(a, ref_a) and np.array_equal(d, ref_d), (x.shape, axis)
+
+
+def test_analyze_writes_into_given_outputs():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(8, 16))
+    out = (np.empty((8, 8)), np.empty((8, 8)))
+    result = kernels.d4_analyze(x, axis=1, out=out)
+    assert result[0] is out[0] and result[1] is out[1]
+    ref_a, ref_d = oracles.d4_level_reference(x, 1)
+    assert np.array_equal(out[0], ref_a) and np.array_equal(out[1], ref_d)

@@ -12,12 +12,31 @@ from qphase.errors import QPhaseError
 
 def test_direct_matches_brute_force_sum():
     # the full (2N, 2N) grid, extension included, against the literal
-    # triple-loop definition
-    for seed in (0, 1):
-        psi = oracles.random_state(8, seed=seed)
-        grid = wigner.wigner_direct(psi)
-        brute = oracles.brute_wigner(psi)
-        assert np.max(np.abs(grid.values - brute)) < 1e-13
+    # triple-loop definition, at every register size from 2 to 32; angle
+    # deltas at m = 0 and m = N - 1 reach the zero-padded ends of the
+    # paired route's sliding windows
+    for N in (2, 4, 8, 16, 32):
+        states = [oracles.random_state(N, seed=seed) for seed in (0, 1)]
+        for m0 in (0, N - 1):
+            delta = np.zeros(N, dtype=complex)
+            delta[m0] = 1.0
+            states.append(delta)
+        for psi in states:
+            grid = wigner.wigner_direct(psi)
+            brute = oracles.brute_wigner(psi)
+            assert np.max(np.abs(grid.values - brute)) < 1e-13
+
+
+def test_imag_residue_is_small_and_reported():
+    # the residue comes from one unpaired reference row per parity: finite,
+    # within perfbench's 1e-12 bound, and nonzero on a generic state, so it
+    # does read the round-off
+    for n_q in range(1, 11):
+        for seed in (0, 1, 2):
+            residue = wigner.wigner_direct(oracles.random_state(1 << n_q, seed=seed)).imag_residue
+            assert np.isfinite(residue)
+            assert 0.0 <= residue < 1e-12
+    assert wigner.wigner_direct(oracles.random_state(64, seed=21)).imag_residue > 0.0
 
 
 def test_sum_rules_on_random_states():
