@@ -162,6 +162,7 @@ def image_scan_row(amplitudes: np.ndarray, n_q: int, tile_size: int = 0) -> Scan
     else:
         coeffs = wavelet.d4_forward_2d(amplitudes)
     w = wavelet_weights(coeffs)
-    raw = np.asarray(amplitudes, dtype=np.float64).reshape(-1) ** 2
-    return ScanRow(K=0.0, n_q=n_q, xi_raw=ipr(raw), xi_wavelet=ipr(w),
-                   R=ipr_ratio(ipr(raw), ipr(w)), S=entropy(w))
+    xi_raw = ipr(np.asarray(amplitudes, dtype=np.float64).reshape(-1) ** 2)
+    xi_wav = ipr(w)
+    return ScanRow(K=0.0, n_q=n_q, xi_raw=xi_raw, xi_wavelet=xi_wav,
+                   R=ipr_ratio(xi_raw, xi_wav), S=entropy(w))

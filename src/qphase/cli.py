@@ -246,7 +246,7 @@ def cmd_amplify(args) -> int:
     before = final_state[idx]
     after = report.state[idx]
     top = idx[np.argsort(-np.abs(before))[:2]]
-    if np.abs(final_state[top[1]]) > 0:
+    if top.size == 2 and np.abs(final_state[top[1]]) > 0:
         r_before = final_state[top[0]] / final_state[top[1]]
         r_after = report.state[top[0]] / report.state[top[1]]
         print(f"ratio preservation: |before - after| = {abs(r_before - r_after):.2e}")

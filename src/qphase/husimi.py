@@ -42,22 +42,6 @@ class HusimiGrid:
 
 
 @dataclass
-class CoherentStateParams:
-    """Width a and optional explicit (theta0, n0) centers.
-
-    centers None evaluates the full integer grid: theta0 = 2 pi l / N for all
-    l and n0 = 0..N-1.
-    """
-
-    a: float
-    centers: list | None = None
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise QPhaseError("invalid-parameter", f"Gaussian width must be > 0, got {self.a}")
-
-
-@dataclass
 class DiagonalCost:
     """Nominal cost metadata for the diagonal-selection construction.
 
@@ -91,8 +75,13 @@ def default_width(N: int) -> float:
     return math.sqrt(N / (4.0 * math.pi))
 
 
-def _wrapped_envelope(N: int, n0: float, a: float) -> np.ndarray:
-    # e^{-(n - n0)^2 / 4 a^2} summed over the nearest images of the ring
+def _wrapped_envelope(N: int, n0: float, a: float | None) -> np.ndarray:
+    # e^{-(n - n0)^2 / 4 a^2} summed over the nearest images of the ring;
+    # a None is the default width
+    if a is None:
+        a = default_width(N)
+    if a <= 0:
+        raise QPhaseError("invalid-parameter", f"Gaussian width must be > 0, got {a}")
     n = np.arange(N, dtype=np.float64)
     envelope = np.zeros(N)
     for image in range(-_WRAP_IMAGES, _WRAP_IMAGES + 1):
@@ -103,33 +92,21 @@ def _wrapped_envelope(N: int, n0: float, a: float) -> np.ndarray:
 
 def coherent_state(N: int, theta0: float, n0: float, a: float | None = None) -> np.ndarray:
     """Normalized wrapped Gaussian on the momentum ring."""
-    if a is None:
-        a = default_width(N)
-    if a <= 0:
-        raise QPhaseError("invalid-parameter", f"Gaussian width must be > 0, got {a}")
     n = np.arange(N, dtype=np.float64)
     phi = _wrapped_envelope(N, n0, a) * np.exp(-1j * theta0 * n)
     return phi / np.linalg.norm(phi)
 
 
-def gaussian_husimi(state, params: CoherentStateParams | None = None) -> np.ndarray:
-    """|<phi_(theta0, n0)|psi>|^2 over the requested centers.
+def gaussian_husimi(state, a: float | None = None) -> np.ndarray:
+    """|<phi_(theta0, n0)|psi>|^2 over the full integer grid, indexed [l, n0].
 
-    With the default full integer grid the result is an N x N array indexed
-    [l, n0]; with explicit centers, a 1D array in their order.
+    theta0 = 2 pi l / N for l = 0..N-1 and n0 = 0..N-1, width a (default
+    `default_width`). One center's value is abs(np.vdot(coherent_state(N,
+    theta0, n0, a), psi)) ** 2.
     """
     psi = as_state(state)
     N = psi.size
-    if params is None:
-        params = CoherentStateParams(a=default_width(N))
-    if params.centers is not None:
-        values = np.empty(len(params.centers))
-        for idx, (theta0, n0) in enumerate(params.centers):
-            phi = coherent_state(N, theta0, n0, params.a)
-            values[idx] = abs(np.vdot(phi, psi)) ** 2
-        return values
-
-    envelope = _wrapped_envelope(N, 0.0, params.a)
+    envelope = _wrapped_envelope(N, 0.0, a)
     amp = 1.0 / np.linalg.norm(envelope)
     # row n0: envelope rolled to its center, times psi
     rows = np.empty((N, N), dtype=np.complex128)

@@ -29,6 +29,11 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _draw(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Multinomial counts of shots draws over flat weights, normalized here."""
+    return _rng(seed).multinomial(shots, weights / weights.sum())
+
+
 @dataclass
 class MeasurementRecord:
     """Outcome counts from one sampling run; Sum counts = shots."""
@@ -65,9 +70,7 @@ def sample_computational(state, shots: int, seed: int) -> MeasurementRecord:
     psi = as_state(state)
     if shots < 1:
         raise QPhaseError("invalid-parameter", f"shots must be >= 1, got {shots}")
-    probs = np.abs(psi) ** 2
-    probs /= probs.sum()
-    drawn = _rng(seed).multinomial(shots, probs)
+    drawn = _draw(np.abs(psi) ** 2, shots, seed)
     counts = {int(i): int(c) for i, c in enumerate(drawn) if c}
     return MeasurementRecord(counts=counts, shots=shots, seed=seed)
 
@@ -84,9 +87,7 @@ def coarse_grained_sample(state, n_f: int, shots: int, seed: int) -> Measurement
         raise QPhaseError("invalid-parameter", f"shots must be >= 1, got {shots}")
     probs = cell_probabilities(state, n_f)
     cells = probs.shape[0]
-    flat = probs.reshape(-1)
-    flat = flat / flat.sum()
-    drawn = _rng(seed).multinomial(shots, flat)
+    drawn = _draw(probs.reshape(-1), shots, seed)
     counts = {(int(i // cells), int(i % cells)): int(c) for i, c in enumerate(drawn) if c}
     return MeasurementRecord(counts=counts, shots=shots, seed=seed)
 
@@ -260,11 +261,9 @@ def monte_carlo_reconstruct(amplitudes, samples: int, seed: int):
     if np.any(a < 0):
         raise QPhaseError("invalid-parameter", "amplitudes must be nonnegative")
     probs = (a * a).reshape(-1)
-    total = probs.sum()
-    if total <= 0:
+    if probs.sum() <= 0:
         raise QPhaseError("degenerate-input", "zero-energy amplitude field")
-    probs = probs / total
-    counts = _rng(seed).multinomial(samples, probs)
+    counts = _draw(probs, samples, seed)
     fld = np.sqrt(counts / samples).reshape(a.shape)
     l2 = float(np.linalg.norm(fld - a))
     return fld, l2, field_psnr(a, fld)

@@ -6,16 +6,14 @@ kick phase diagonal in angle:
     psi <- F^{-1} diag(e^{i k cos theta_j}) F diag(e^{-i T n^2 / 2}) psi
 
 with F the forward unitary DFT (momentum -> angle), theta_j = 2 pi j / N and
-n = 0..N-1. In the resonant regime T = 2 pi / N (even N) the free phase is
-exactly N-periodic in n, so the single momentum cell n in {0..N-1} is
-self-consistent. The conjugate flag evolves the mirror register: every phase
-conjugated and the two transform directions swapped, which equals
-conj(step(conj(psi))) elementwise.
+n = 0..N-1. The period is fixed at the resonant value T = 2 pi / N (even N),
+where the free phase is exactly N-periodic in n, so the single momentum cell
+n in {0..N-1} is self-consistent. The kick sign lives in `_phases` alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,25 +24,24 @@ from .statevec import qft
 
 @dataclass(frozen=True)
 class RotatorParams:
-    """Evolution parameters; T defaults to the one-cell regime 2 pi / N."""
+    """Evolution parameters; the period T is the one-cell value 2 pi / N."""
 
     n_q: int
     K: float
-    T: float = field(default=0.0)
 
     def __post_init__(self):
         if self.n_q < 1:
             raise QPhaseError("invalid-parameter", f"qubit count must be >= 1, got {self.n_q}")
         if self.K < 0:
             raise QPhaseError("invalid-parameter", f"K must be >= 0, got {self.K}")
-        if self.T == 0.0:
-            object.__setattr__(self, "T", 2.0 * np.pi / self.N)
-        if self.T <= 0:
-            raise QPhaseError("invalid-parameter", f"T must be > 0, got {self.T}")
 
     @property
     def N(self) -> int:
         return 1 << self.n_q
+
+    @property
+    def T(self) -> float:
+        return 2.0 * np.pi / self.N
 
     @property
     def k(self) -> float:
@@ -52,10 +49,12 @@ class RotatorParams:
 
 
 @lru_cache(maxsize=64)
-def _phases(n_q: int, K: float, T: float):
-    n = np.arange(1 << n_q, dtype=np.float64)
+def _phases(n_q: int, K: float):
+    N = 1 << n_q
+    T = 2.0 * np.pi / N
+    n = np.arange(N, dtype=np.float64)
     free = np.exp(-0.5j * T * n * n)
-    kick = np.exp(1j * (K / T) * np.cos(2.0 * np.pi * n / (1 << n_q)))
+    kick = np.exp(1j * (K / T) * np.cos(2.0 * np.pi * n / N))
     free.setflags(write=False)
     kick.setflags(write=False)
     return free, kick
@@ -72,23 +71,21 @@ def initial_band_state(params: RotatorParams) -> np.ndarray:
     return psi
 
 
-def step(state, params: RotatorParams, conjugate: bool = False) -> np.ndarray:
-    """One kick period; conjugate=True applies the mirror-register operator."""
+def step(state, params: RotatorParams) -> np.ndarray:
+    """One kick period."""
     psi = np.asarray(state, dtype=np.complex128)
     if psi.shape != (params.N,):
         raise QPhaseError("invalid-dimension",
                           f"state length {psi.size} does not match N = {params.N}")
-    free, kick = _phases(params.n_q, params.K, params.T)
-    if conjugate:
-        return qft(kick.conj() * qft(free.conj() * psi, "inverse"), "forward")
+    free, kick = _phases(params.n_q, params.K)
     return qft(kick * qft(free * psi, "forward"), "inverse")
 
 
-def evolve(state, params: RotatorParams, t: int, conjugate: bool = False) -> np.ndarray:
+def evolve(state, params: RotatorParams, t: int) -> np.ndarray:
     """t kick periods (t = 0 returns a copy)."""
     if t < 0:
         raise QPhaseError("invalid-parameter", f"iteration count must be >= 0, got {t}")
     psi = np.asarray(state, dtype=np.complex128).copy()
     for _ in range(t):
-        psi = step(psi, params, conjugate=conjugate)
+        psi = step(psi, params)
     return psi

@@ -38,34 +38,28 @@ def check_register(qubits: int, what: str) -> None:
                                       f"above the limit of {REGISTER_QUBIT_LIMIT}")
 
 
-def as_state(amplitudes, require_normalized: bool = True) -> np.ndarray:
-    """Coerce to a complex statevector, checking the register invariants."""
+def as_state(amplitudes) -> np.ndarray:
+    """Coerce to a normalized complex statevector, checking the register invariants."""
     psi = np.asarray(amplitudes, dtype=np.complex128)
     if psi.ndim != 1:
         raise QPhaseError("invalid-dimension", f"statevector must be 1D, got shape {psi.shape}")
     _require_power_of_two(psi.size, "statevector length")
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise QPhaseError("invalid-state", "statevector contains NaN or Inf")
-    if require_normalized:
-        norm_sq = float(np.vdot(psi, psi).real)
-        if abs(norm_sq - 1.0) > 1e-10:
-            raise QPhaseError("invalid-state", f"statevector norm^2 = {norm_sq!r}, expected 1")
+    norm_sq = float(np.vdot(psi, psi).real)
+    if abs(norm_sq - 1.0) > 1e-10:
+        raise QPhaseError("invalid-state", f"statevector norm^2 = {norm_sq!r}, expected 1")
     return psi
 
 
 def qft(state, direction: str = "forward") -> np.ndarray:
-    """Unitary DFT of the amplitude sequence.
+    """Unitary DFT of the whole amplitude sequence: one block of length N.
 
     direction "forward" uses the e^{-2 pi i k n / N} kernel, "inverse" its
     conjugate; inverse(forward(x)) = x to machine precision.
     """
     psi = np.asarray(state, dtype=np.complex128)
-    _require_power_of_two(psi.size, "statevector length")
-    if direction == "forward":
-        return np.fft.fft(psi, norm="ortho")
-    if direction == "inverse":
-        return np.fft.ifft(psi, norm="ortho")
-    raise QPhaseError("invalid-parameter", f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    return partial_qft_blocks(psi, psi.size, direction)
 
 
 def partial_qft_blocks(state, block_size: int, direction: str = "forward") -> np.ndarray:

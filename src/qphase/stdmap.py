@@ -51,29 +51,21 @@ def wrap_p(p):
     return (np.asarray(p) + np.pi) % TWO_PI - np.pi
 
 
-def initial_band(K: float, count: int = DEFAULT_ENSEMBLE_SIZE, seed: int = 0,
-                 p_range=DEFAULT_BAND_P) -> ClassicalEnsemble:
-    """Uniform random band: theta in [0, 2 pi), p in p_range."""
+def initial_band(K: float, count: int = DEFAULT_ENSEMBLE_SIZE,
+                 seed: int = 0) -> ClassicalEnsemble:
+    """Uniform random band: theta in [0, 2 pi), p in DEFAULT_BAND_P."""
     if count < 1:
         raise QPhaseError("invalid-parameter", f"ensemble size must be >= 1, got {count}")
     rng = _rng(seed)
     theta = rng.uniform(0.0, TWO_PI, size=count)
-    p = rng.uniform(p_range[0], p_range[1], size=count)
+    p = rng.uniform(*DEFAULT_BAND_P, size=count)
     return ClassicalEnsemble(theta, p, float(K))
 
 
-def step_ensemble(ens: ClassicalEnsemble) -> ClassicalEnsemble:
-    """One map iteration, coordinates wrapped."""
-    theta, p = kernels.stdmap_advance(ens.theta, ens.p, ens.K, 1, wrap_p=True)
-    return ClassicalEnsemble(theta, p, ens.K)
-
-
 def evolve_ensemble(ens: ClassicalEnsemble, t: int) -> ClassicalEnsemble:
-    """t composed map iterations."""
+    """t composed map iterations, coordinates wrapped (t = 0 returns copies)."""
     if t < 0:
         raise QPhaseError("invalid-parameter", f"iteration count must be >= 0, got {t}")
-    if t == 0:
-        return ClassicalEnsemble(ens.theta.copy(), ens.p.copy(), ens.K)
     theta, p = kernels.stdmap_advance(ens.theta, ens.p, ens.K, t, wrap_p=True)
     return ClassicalEnsemble(theta, p, ens.K)
 

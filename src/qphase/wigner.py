@@ -19,12 +19,13 @@ so they can verify each other:
   is row Theta, the imaginary part row Theta + N. The kernels are products of
   two sliding windows over psi zero-padded to 3N, one of them reversed.
 
-* `wigner_register_pipeline` simulates the register construction: two copies
-  of the initial state evolved independently (the second conjugated),
-  transformed to the angle basis, scattered into a carry-extended register
-  |theta>|theta'> -> |theta + theta'>|theta'> by the adder, second register
-  transformed, then split once more and phase-corrected, leaving amplitudes
-  sqrt(2N) W(Theta, n).
+* `wigner_register_pipeline` simulates the register construction: the first
+  register evolves the initial state and transforms it to the angle basis;
+  the second register runs U* on psi*, which is conj(U psi), so it is the
+  conjugate of the first, with no second evolution. Both are scattered into
+  a carry-extended register |theta>|theta'> -> |theta + theta'>|theta'> by
+  the adder, the second register is transformed, then split once more and
+  phase-corrected, leaving amplitudes sqrt(2N) W(Theta, n).
 
 Both store the whole (2N, 2N) grid. Only its (2N, N) block is distinct:
 the exact phase relation e^{- pi i (n+N) Theta / N} =
@@ -162,10 +163,8 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int):
                           f"state length {psi0.size} does not match N = {params.N}")
     N = params.N
 
-    u = rotator.evolve(psi0, params, t)
-    v = rotator.evolve(psi0.conj(), params, t, conjugate=True)
-    a = qft(u, "forward")            # first register, angle basis
-    b = qft(v, "inverse")            # second register, mirrored transform
+    a = qft(rotator.evolve(psi0, params, t), "forward")  # first register, angle basis
+    b = a.conj()                                         # second: U* psi* = conj(U psi)
 
     T1 = _scatter_pair_products(a, b)                    # carry adder
     T2 = np.fft.ifft(T1, axis=1, norm="ortho")           # second-register QFT

@@ -52,7 +52,7 @@ def brute_wigner(psi_angle: np.ndarray) -> np.ndarray:
     return full
 
 
-def dense_step_matrix(n_dim: int, K: float, T: float, conjugate: bool = False) -> np.ndarray:
+def dense_step_matrix(n_dim: int, K: float, T: float) -> np.ndarray:
     # one kicked-rotator step as an explicit N x N matrix acting on the
     # momentum representation: inverse-DFT . diag(kick) . DFT . diag(free)
     k = K / T
@@ -62,8 +62,7 @@ def dense_step_matrix(n_dim: int, K: float, T: float, conjugate: bool = False) -
     kick = np.exp(1j * k * np.cos(theta))
     fwd = dft_matrix(n_dim)
     inv = dft_matrix(n_dim, inverse=True)
-    mat = inv @ np.diag(kick) @ fwd @ np.diag(free)
-    return mat.conj() if conjugate else mat
+    return inv @ np.diag(kick) @ fwd @ np.diag(free)
 
 
 def d4_analysis_matrix(length: int) -> np.ndarray:

@@ -204,6 +204,16 @@ def test_amplify_region_bounds_checked(capsys):
                  "--region", "0:99,0:2"]) == 2
 
 
+def test_amplify_single_cell_region(capsys):
+    # one region cell has no amplitude ratio to preserve; the weights still print
+    assert main(["amplify", "--K", "0.5", "--nq", "4", "--t", "10",
+                 "--region", "0:1,0:1"]) == 0
+    report = capsys.readouterr().out
+    assert "region weight: 5.189655e-04 -> 0.998034" in report
+    assert "closed-form weight" in report
+    assert "ratio preservation" not in report
+
+
 def test_malformed_region_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["amplify", "--K", "0.5", "--nq", "3", "--t", "0", "--region", "1,2"])

@@ -77,18 +77,15 @@ def test_coherent_state_basics():
 def test_gaussian_self_overlap_is_one():
     N = 128
     phi = husimi.coherent_state(N, 1.1, 30.0)
-    params = husimi.CoherentStateParams(a=husimi.default_width(N), centers=[(1.1, 30.0)])
-    value = husimi.gaussian_husimi(phi, params)
-    assert value.shape == (1,)
-    assert abs(value[0] - 1.0) < 1e-12
+    value = abs(np.vdot(husimi.coherent_state(N, 1.1, 30.0), phi)) ** 2
+    assert abs(value - 1.0) < 1e-12
 
 
 def test_distant_coherent_states_are_orthogonal():
     # centers half a ring apart: the envelope product is ~ e^{-N pi / 2}
     N = 256
     phi = husimi.coherent_state(N, 0.0, 64.0)
-    params = husimi.CoherentStateParams(a=husimi.default_width(N), centers=[(0.0, 192.0)])
-    assert husimi.gaussian_husimi(phi, params)[0] < 1e-10
+    assert abs(np.vdot(husimi.coherent_state(N, 0.0, 192.0), phi)) ** 2 < 1e-10
 
 
 def test_grid_matches_explicit_centers():
@@ -96,11 +93,9 @@ def test_grid_matches_explicit_centers():
     psi = oracles.random_state(N, seed=19)
     grid = husimi.gaussian_husimi(psi)
     assert grid.shape == (N, N)
-    centers = [(2 * np.pi * l / N, float(n0)) for l, n0 in ((0, 0), (3, 7), (15, 12))]
-    explicit = husimi.gaussian_husimi(psi, husimi.CoherentStateParams(
-        a=husimi.default_width(N), centers=centers))
-    for (l, n0), value in zip(((0, 0), (3, 7), (15, 12)), explicit):
-        assert abs(grid[l, n0] - value) < 1e-12
+    for l, n0 in ((0, 0), (3, 7), (15, 12)):
+        phi = husimi.coherent_state(N, 2 * np.pi * l / N, float(n0))
+        assert abs(grid[l, n0] - abs(np.vdot(phi, psi)) ** 2) < 1e-12
 
 
 def test_overlap_identity_with_wigner_grids():

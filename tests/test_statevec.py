@@ -42,9 +42,6 @@ def test_as_state_norm_check_togglable():
     with pytest.raises(QPhaseError) as err:
         statevec.as_state([1.0, 1.0])
     assert err.value.category == "invalid-state"
-    # the same amplitudes pass once the normalization requirement is waived
-    psi = statevec.as_state([1.0, 1.0], require_normalized=False)
-    assert psi.dtype == np.complex128
 
 
 def test_qft_delta_gives_uniform():

@@ -14,14 +14,14 @@ def single(theta, p, K):
 
 def test_fixed_points_stay_put():
     for theta0 in (0.0, np.pi):
-        ens = stdmap.step_ensemble(single(theta0, 0.0, 1.7))
+        ens = stdmap.evolve_ensemble(single(theta0, 0.0, 1.7), 1)
         assert abs(ens.theta[0] - theta0) < 1e-12
         assert abs(ens.p[0]) < 1e-12
 
 
 def test_single_step_by_hand():
     # p' = 0 + 0.5 sin(pi/2) = 0.5, theta' = pi/2 + 0.5
-    ens = stdmap.step_ensemble(single(np.pi / 2, 0.0, 0.5))
+    ens = stdmap.evolve_ensemble(single(np.pi / 2, 0.0, 0.5), 1)
     assert abs(ens.p[0] - 0.5) < 1e-12
     assert abs(ens.theta[0] - (np.pi / 2 + 0.5)) < 1e-12
 
@@ -36,7 +36,7 @@ def test_evolve_zero_steps_is_identity():
 
 def test_evolve_two_steps_composes_single_steps():
     ens = stdmap.initial_band(1.1, count=50, seed=5)
-    twice = stdmap.step_ensemble(stdmap.step_ensemble(ens))
+    twice = stdmap.evolve_ensemble(stdmap.evolve_ensemble(ens, 1), 1)
     out = stdmap.evolve_ensemble(ens, 2)
     assert np.max(np.abs(out.theta - twice.theta)) < 1e-12
     assert np.max(np.abs(out.p - twice.p)) < 1e-12
@@ -53,7 +53,7 @@ def test_inverse_map_recovers_preimage():
     # theta = theta' - p', p = p' - K sin(theta); compare wrapped coordinates
     K = 1.4
     ens = stdmap.initial_band(K, count=1000, seed=6)
-    out = stdmap.step_ensemble(ens)
+    out = stdmap.evolve_ensemble(ens, 1)
     theta_back = stdmap.wrap_theta(out.theta - out.p)
     p_back = stdmap.wrap_p(out.p - K * np.sin(theta_back))
     dtheta = np.abs(stdmap.wrap_theta(theta_back - ens.theta + np.pi) - np.pi)
