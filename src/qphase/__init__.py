@@ -4,39 +4,13 @@ Simulates the kicked rotator on a register of qubits, extracts its Wigner
 and modified Husimi distributions the way a quantum processor would (register
 pipeline, coarse-grained and ancilla measurements, amplitude amplification),
 and quantifies localization directly and in a D4 wavelet basis.
+
+Public names live in their modules (`from qphase import wigner`); the
+package namespace holds only the modules and `__version__`.
 """
 
-from .analysis import ScalingFit, ScanRow, entropy, fit_scaling, ipr, ipr_ratio
-from .errors import ParseError, QPhaseError
-from .husimi import HusimiGrid, gaussian_husimi, husimi_modulus_state, modified_husimi
-from .imageio import GrayImage, ImageAmplitudes, encode_wavefunction, load_pgm, save_pgm, synthetic_corpus
-from .measurement import (AmplifyReport, MeasurementRecord, amplitude_amplify,
-                          ancilla_tomography_sample, coarse_grained_sample,
-                          monte_carlo_reconstruct, sample_computational, topk_reconstruct)
-from .rotator import RotatorParams, evolve, initial_band_state, step
-from .statevec import as_state, qft
-from .stdmap import ClassicalEnsemble, evolve_ensemble, initial_band
-from .wavelet import (WaveletCoeffs, d4_forward_1d, d4_forward_2d, d4_inverse_1d,
-                      d4_inverse_2d, tiled_forward_2d, tiled_inverse_2d)
-from .wigner import WignerGrid, wigner_direct, wigner_from_momentum, wigner_ipr, wigner_register_pipeline
+# Every module loads with the package. `analysis` imports scipy.stats, which
+# moves glibc's malloc thresholds and with them the speed of rotator.evolve.
+from . import analysis, errors, husimi, imageio, measurement, rotator, statevec, stdmap, wavelet, wigner
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "QPhaseError", "ParseError",
-    "RotatorParams", "initial_band_state", "step", "evolve",
-    "ClassicalEnsemble", "initial_band", "evolve_ensemble",
-    "as_state", "qft",
-    "WignerGrid", "wigner_direct", "wigner_from_momentum",
-    "wigner_register_pipeline", "wigner_ipr",
-    "HusimiGrid", "modified_husimi", "gaussian_husimi", "husimi_modulus_state",
-    "WaveletCoeffs", "d4_forward_1d", "d4_inverse_1d", "d4_forward_2d",
-    "d4_inverse_2d", "tiled_forward_2d", "tiled_inverse_2d",
-    "MeasurementRecord", "AmplifyReport", "sample_computational",
-    "coarse_grained_sample", "ancilla_tomography_sample", "amplitude_amplify",
-    "topk_reconstruct", "monte_carlo_reconstruct",
-    "ScalingFit", "ScanRow", "ipr", "entropy", "ipr_ratio", "fit_scaling",
-    "GrayImage", "ImageAmplitudes", "load_pgm", "save_pgm",
-    "encode_wavefunction", "synthetic_corpus",
-    "__version__",
-]

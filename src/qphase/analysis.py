@@ -12,11 +12,10 @@ from scipy import special, stats
 from . import husimi as husimi_mod
 from . import rotator, wavelet, wigner
 from .errors import QPhaseError
-from .wigner import wigner_ipr  # re-export: the fourth-power ratio lives with the grid
 
 __all__ = [
     "ScalingFit", "ScanRow", "ipr", "entropy", "ipr_ratio", "fit_scaling",
-    "ipr_entropy_compare", "wigner_ipr", "wavelet_weights",
+    "ipr_entropy_compare", "wavelet_weights",
     "wigner_scan_row", "husimi_scan_row", "image_scan_row",
 ]
 
@@ -91,8 +90,8 @@ def ipr_ratio(xi_raw: float, xi_wavelet: float) -> float:
 def fit_scaling(points) -> ScalingFit:
     """Fit log2 xi = exponent * n_q + intercept by ordinary least squares.
 
-    points is a sequence of (n_q, xi) pairs; at least three are required for
-    a meaningful slope error.
+    points is a sequence of (n_q, xi) pairs; at least three, over at least
+    two qubit counts, are required for a meaningful slope error.
     """
     pts = [(float(n), float(x)) for n, x in points]
     if len(pts) < 3:
@@ -102,6 +101,9 @@ def fit_scaling(points) -> ScalingFit:
     xs = np.array([p[1] for p in pts])
     if np.any(xs <= 0):
         raise QPhaseError("invalid-parameter", "xi values must be positive")
+    if np.unique(ns).size < 2:
+        raise QPhaseError("insufficient-data",
+                          f"need at least 2 distinct qubit counts for a fit, got {ns[0]:g} only")
     res = stats.linregress(ns, np.log2(xs))
     return ScalingFit(exponent=float(res.slope), intercept=float(res.intercept),
                       stderr=float(res.stderr), range=(min(ns), max(ns)))
@@ -129,8 +131,8 @@ def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     psi = rotator.evolve(rotator.initial_band_state(params), params, t)
     grid = wigner.wigner_from_momentum(psi)
     full = grid.values
-    xi_raw = wigner_ipr(full)
-    xi_wav = wigner_ipr(wavelet.d4_forward_2d(full).values)
+    xi_raw = wigner.wigner_ipr(full)
+    xi_wav = wigner.wigner_ipr(wavelet.d4_forward_2d(full).values)
     left = full[:, :grid.N]
     weights = np.multiply(left, left)
     weights *= 4 * grid.N

@@ -35,10 +35,6 @@ class GrayImage:
             px = px.astype(np.uint8)
         self.pixels = px
 
-    @property
-    def shape(self):
-        return self.pixels.shape
-
 
 @dataclass
 class ImageAmplitudes:
@@ -146,15 +142,6 @@ def encode_wavefunction(image: GrayImage) -> ImageAmplitudes:
     if norm == 0.0:
         raise QPhaseError("degenerate-input", "all-black image cannot be normalized")
     return ImageAmplitudes(px / norm)
-
-
-def decode_wavefunction(amps: ImageAmplitudes, peak: int = 255) -> GrayImage:
-    """Rescale amplitudes back to 8-bit pixels; max amplitude maps to peak."""
-    v = amps.values
-    top = float(np.max(v))
-    if top == 0.0:
-        raise QPhaseError("degenerate-input", "zero amplitude field")
-    return GrayImage(np.rint(v / top * peak).astype(np.uint8))
 
 
 def render_heatmap(grid, signed: bool, path) -> None:

@@ -29,8 +29,14 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+# numpy's multinomial takes its count as a signed 64-bit integer
+_MAX_SHOTS = (1 << 63) - 1
+
+
 def _draw(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts of shots draws over flat weights, normalized here."""
+    if shots > _MAX_SHOTS:
+        raise QPhaseError("invalid-parameter", f"shots must be <= {_MAX_SHOTS}, got {shots}")
     return _rng(seed).multinomial(shots, weights / weights.sum())
 
 
@@ -159,8 +165,6 @@ def grover_iterations(weight: float) -> int:
 
 
 def _region_mask(region, size: int) -> np.ndarray:
-    if callable(region):
-        return np.fromiter((bool(region(i)) for i in range(size)), dtype=bool, count=size)
     mask = np.asarray(region)
     if mask.dtype != bool:
         # index list
@@ -183,7 +187,8 @@ def amplitude_amplify(state, region, iterations="auto") -> AmplifyReport:
     Each iteration applies the sign flip on the region followed by the
     reflection about the initial state; relative amplitudes inside the region
     are preserved exactly, which is what makes the construction usable as a
-    magnifier for small grid patches.
+    magnifier for small grid patches. region is a boolean mask over the
+    amplitudes or a list of their indices.
     """
     psi0 = as_state(state)
     mask = _region_mask(region, psi0.size)

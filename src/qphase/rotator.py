@@ -13,6 +13,7 @@ n in {0..N-1} is self-consistent. The kick sign lives in `_phases` alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,8 +33,8 @@ class RotatorParams:
     def __post_init__(self):
         if self.n_q < 1:
             raise QPhaseError("invalid-parameter", f"qubit count must be >= 1, got {self.n_q}")
-        if self.K < 0:
-            raise QPhaseError("invalid-parameter", f"K must be >= 0, got {self.K}")
+        if not math.isfinite(self.K) or self.K < 0:
+            raise QPhaseError("invalid-parameter", f"K must be finite and >= 0, got {self.K}")
 
     @property
     def N(self) -> int:
@@ -49,12 +50,11 @@ class RotatorParams:
 
 
 @lru_cache(maxsize=64)
-def _phases(n_q: int, K: float):
-    N = 1 << n_q
-    T = 2.0 * np.pi / N
+def _phases(params: RotatorParams):
+    N = params.N
     n = np.arange(N, dtype=np.float64)
-    free = np.exp(-0.5j * T * n * n)
-    kick = np.exp(1j * (K / T) * np.cos(2.0 * np.pi * n / N))
+    free = np.exp(-0.5j * params.T * n * n)
+    kick = np.exp(1j * params.k * np.cos(2.0 * np.pi * n / N))
     free.setflags(write=False)
     kick.setflags(write=False)
     return free, kick
@@ -77,7 +77,7 @@ def step(state, params: RotatorParams) -> np.ndarray:
     if psi.shape != (params.N,):
         raise QPhaseError("invalid-dimension",
                           f"state length {psi.size} does not match N = {params.N}")
-    free, kick = _phases(params.n_q, params.K)
+    free, kick = _phases(params)
     return qft(kick * qft(free * psi, "forward"), "inverse")
 
 

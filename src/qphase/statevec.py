@@ -26,9 +26,11 @@ DIRECTIONS = ("forward", "inverse")
 REGISTER_QUBIT_LIMIT = 22
 
 
-def _require_power_of_two(n: int, what: str) -> None:
+def log2_exact(n: int, what: str) -> int:
+    """log2 n, raising category `invalid-dimension` unless n is a power of two."""
     if n < 1 or (n & (n - 1)) != 0:
         raise QPhaseError("invalid-dimension", f"{what} must be a power of two, got {n}")
+    return n.bit_length() - 1
 
 
 def check_register(qubits: int, what: str) -> None:
@@ -43,7 +45,7 @@ def as_state(amplitudes) -> np.ndarray:
     psi = np.asarray(amplitudes, dtype=np.complex128)
     if psi.ndim != 1:
         raise QPhaseError("invalid-dimension", f"statevector must be 1D, got shape {psi.shape}")
-    _require_power_of_two(psi.size, "statevector length")
+    log2_exact(psi.size, "statevector length")
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise QPhaseError("invalid-state", "statevector contains NaN or Inf")
     norm_sq = float(np.vdot(psi, psi).real)
@@ -70,8 +72,8 @@ def partial_qft_blocks(state, block_size: int, direction: str = "forward") -> np
     = 1 to the identity.
     """
     psi = np.asarray(state, dtype=np.complex128)
-    _require_power_of_two(psi.size, "statevector length")
-    _require_power_of_two(block_size, "block_size")
+    log2_exact(psi.size, "statevector length")
+    log2_exact(block_size, "block_size")
     if block_size > psi.size or psi.size % block_size != 0:
         raise QPhaseError("invalid-dimension",
                           f"block_size {block_size} does not divide state length {psi.size}")

@@ -54,6 +54,8 @@ def wrap_p(p):
 def initial_band(K: float, count: int = DEFAULT_ENSEMBLE_SIZE,
                  seed: int = 0) -> ClassicalEnsemble:
     """Uniform random band: theta in [0, 2 pi), p in DEFAULT_BAND_P."""
+    if not np.isfinite(K):
+        raise QPhaseError("invalid-parameter", f"K must be finite, got {K}")
     if count < 1:
         raise QPhaseError("invalid-parameter", f"ensemble size must be >= 1, got {count}")
     rng = _rng(seed)

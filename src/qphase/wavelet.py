@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import QPhaseError
+from .statevec import log2_exact
 
 
 @dataclass
@@ -33,16 +34,10 @@ class WaveletCoeffs:
     tile_size: int = 0
 
 
-def _log2_int(n: int, what: str) -> int:
-    if n < 1 or (n & (n - 1)) != 0:
-        raise QPhaseError("invalid-dimension", f"{what} must be a power of two, got {n}")
-    return n.bit_length() - 1
-
-
 def _check_levels(length: int, levels, what: str) -> int:
     # the last allowed level analyzes a 2-sample block, where the wrapped D4
     # pair collapses to the orthonormal Haar pair (h0+h2 = h1+h3 = 1/sqrt(2))
-    max_levels = _log2_int(length, what)
+    max_levels = log2_exact(length, what)
     if levels is None:
         levels = max(1, max_levels - 2)  # stop at a 4-sample approximation band
     if not 1 <= levels <= max_levels:
@@ -151,7 +146,7 @@ def tiled_forward_2d(field, tile_size: int) -> WaveletCoeffs:
     """Independent full-depth 2D transform inside every tile."""
     grid = _check_square(field, "field")
     side = grid.shape[0]
-    _log2_int(tile_size, "tile_size")
+    log2_exact(tile_size, "tile_size")
     if tile_size < 4 or side % tile_size != 0:
         raise QPhaseError("invalid-dimension",
                           f"tile_size {tile_size} must be >= 4 and divide the side {side}")

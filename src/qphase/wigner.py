@@ -86,19 +86,6 @@ def _row_signs(N: int) -> np.ndarray:
     return signs
 
 
-def _scatter_pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """G[j + m, m] = left[j] * right[m] on a (2N, N) carry-extended grid.
-
-    The adder register of wigner_register_pipeline; wigner_direct pairs rows
-    through sliding windows instead.
-    """
-    N = left.size
-    G = np.zeros((2 * N, N), dtype=np.complex128)
-    m = np.arange(N)
-    G[np.add.outer(m, m), m[None, :]] = np.outer(left, right)
-    return G
-
-
 def wigner_direct(state) -> WignerGrid:
     """Evaluate the distribution for an angle-representation state.
 
@@ -166,7 +153,10 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int):
     a = qft(rotator.evolve(psi0, params, t), "forward")  # first register, angle basis
     b = a.conj()                                         # second: U* psi* = conj(U psi)
 
-    T1 = _scatter_pair_products(a, b)                    # carry adder
+    # carry adder |theta>|theta'> -> |theta + theta'>|theta'>: T1[j + m, m] = a[j] b[m]
+    m = np.arange(N)
+    T1 = np.zeros((2 * N, N), dtype=np.complex128)
+    T1[np.add.outer(m, m), m[None, :]] = np.outer(a, b)
     T2 = np.fft.ifft(T1, axis=1, norm="ortho")           # second-register QFT
     T3 = np.concatenate([T2, T2], axis=1) / np.sqrt(2.0)  # duplication split
     Theta = np.arange(2 * N, dtype=np.float64)[:, None]

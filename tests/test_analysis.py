@@ -94,6 +94,14 @@ def test_fit_validation():
     assert err.value.category == "invalid-parameter"
 
 
+def test_fit_needs_two_distinct_qubit_counts():
+    with pytest.raises(QPhaseError) as err:
+        analysis.fit_scaling([(5, 1), (5, 2), (5, 3)])
+    assert err.value.category == "insufficient-data"
+    # two distinct counts among three points leave one degree of freedom
+    assert analysis.fit_scaling([(5, 2.0), (5, 4.0), (6, 4.0)]).exponent == pytest.approx(0.5)
+
+
 def test_participation_never_exceeds_entropy_bound():
     # xi <= 2^S (Jensen); checked on random weight vectors of mixed sizes
     rng = np.random.default_rng(40)

@@ -178,6 +178,21 @@ def test_reconstruct_negative_seed_rejected(tmp_path):
                  "--seed", "-1", "--out", str(tmp_path / "r")]) == 2
 
 
+def test_reconstruct_montecarlo_shot_bound(tmp_path):
+    src = tmp_path / "src.pgm"
+    imageio.save_pgm(imageio.synthetic_corpus(16)["texture"], src)
+    assert main(["reconstruct", str(src), "--method", "montecarlo",
+                 "--k", "100000000000000000000", "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("K", ["nan", "inf"])
+def test_classical_non_finite_kick_strength_rejected(tmp_path, K):
+    out = tmp_path / "c"
+    assert main(["classical", "--K", K, "--t", "5", "--seed", "1", "--shots", "100",
+                 "--out", str(out)]) == 2
+    assert not list(out.glob("*.pgm"))
+
+
 def test_classical_negative_seed_rejected(tmp_path):
     assert main(["classical", "--K", "1", "--t", "1", "--seed", "-1", "--shots", "10",
                  "--out", str(tmp_path / "c")]) == 2

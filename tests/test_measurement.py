@@ -65,6 +65,18 @@ def test_sampling_validation():
     assert err.value.category == "invalid-parameter"
 
 
+def test_shots_bounded_by_the_multinomial_count_range():
+    psi = oracles.random_state(16, seed=0)
+    largest = (1 << 63) - 1
+    assert sum(measurement.sample_computational(psi, largest, seed=0).counts.values()) == largest
+    for draw in (lambda n: measurement.sample_computational(psi, n, seed=0),
+                 lambda n: measurement.coarse_grained_sample(psi, 1, n, seed=0),
+                 lambda n: measurement.monte_carlo_reconstruct(np.abs(psi), n, seed=0)):
+        with pytest.raises(QPhaseError) as err:
+            draw(largest + 1)
+        assert err.value.category == "invalid-parameter"
+
+
 def test_record_csv_format():
     rec = measurement.MeasurementRecord(counts={(1, 2): 5, (0, 3): 7}, shots=12, seed=0)
     buf = io.StringIO()
@@ -232,13 +244,11 @@ def test_amplified_weight_follows_closed_form():
 
 
 def test_amplify_region_forms():
-    # callable predicate, boolean mask, and index list select the same region
+    # boolean mask and index list select the same region
     psi0 = oracles.random_state(16, seed=32)
-    by_call = measurement.amplitude_amplify(psi0, lambda i: i < 4, iterations=2)
     by_mask = measurement.amplitude_amplify(psi0, np.arange(16) < 4, iterations=2)
     by_list = measurement.amplitude_amplify(psi0, [0, 1, 2, 3], iterations=2)
-    assert np.array_equal(by_call.state, by_mask.state)
-    assert np.array_equal(by_call.state, by_list.state)
+    assert np.array_equal(by_mask.state, by_list.state)
 
 
 def test_amplify_empty_region_rejected():

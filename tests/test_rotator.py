@@ -24,6 +24,13 @@ def test_params_validation():
     assert err.value.category == "invalid-parameter"
 
 
+@pytest.mark.parametrize("K", [float("nan"), float("inf")])
+def test_params_reject_non_finite_kick_strength(K):
+    with pytest.raises(QPhaseError) as err:
+        rotator.RotatorParams(n_q=4, K=K)
+    assert err.value.category == "invalid-parameter"
+
+
 def test_free_phase_is_momentum_periodic():
     # at T = 2 pi / N with even N, e^{-iT(n+N)^2/2} = e^{-iTn^2/2}: the extra
     # terms are 2 pi n + pi N, both integer multiples of 2 pi

@@ -49,6 +49,13 @@ def test_evolve_rejects_negative_time():
     assert err.value.category == "invalid-parameter"
 
 
+@pytest.mark.parametrize("K", [float("nan"), float("inf")])
+def test_initial_band_rejects_non_finite_kick_strength(K):
+    with pytest.raises(QPhaseError) as err:
+        stdmap.initial_band(K, count=10, seed=0)
+    assert err.value.category == "invalid-parameter"
+
+
 def test_inverse_map_recovers_preimage():
     # theta = theta' - p', p = p' - K sin(theta); compare wrapped coordinates
     K = 1.4
