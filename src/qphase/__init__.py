@@ -9,8 +9,6 @@ Public names live in their modules (`from qphase import wigner`); the
 package namespace holds only the modules and `__version__`.
 """
 
-# Every module loads with the package. `analysis` imports scipy.stats, which
-# moves glibc's malloc thresholds and with them the speed of rotator.evolve.
 from . import analysis, errors, husimi, imageio, measurement, rotator, statevec, stdmap, wavelet, wigner
 
 __version__ = "0.1.0"

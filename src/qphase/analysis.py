@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import husimi as husimi_mod
 from . import rotator, wavelet, wigner
@@ -104,9 +104,16 @@ def fit_scaling(points) -> ScalingFit:
     if np.unique(ns).size < 2:
         raise QPhaseError("insufficient-data",
                           f"need at least 2 distinct qubit counts for a fit, got {ns[0]:g} only")
-    res = stats.linregress(ns, np.log2(xs))
-    return ScalingFit(exponent=float(res.slope), intercept=float(res.intercept),
-                      stderr=float(res.stderr), range=(min(ns), max(ns)))
+    ys = np.log2(xs)
+    dx = ns - ns.mean()
+    dy = ys - ys.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx
+    intercept = float(ys.mean() - slope * ns.mean())
+    resid = dy - slope * dx
+    stderr = math.sqrt(float(resid @ resid) / (ns.size - 2) / sxx)
+    return ScalingFit(exponent=slope, intercept=intercept, stderr=stderr,
+                      range=(min(ns), max(ns)))
 
 
 def ipr_entropy_compare(weights):

@@ -1,10 +1,11 @@
 """Timing of the hot kernels.
 
 Run as `python -m qphase.bench`. Reports the median of three passes for the
-paired-FFT Wigner grid at n_q = 11 and the 2D wavelet pyramid, which have
-one numpy path each, and for the classical map on its numpy path and, when
-numba is installed, its compiled path, so the speedup of the compiled path
-is visible at a glance.
+kicked-rotator evolution at n_q = 16, with its minor page faults per kick
+where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11
+and the 2D wavelet pyramid, which have one numpy path each, and for the
+classical map on its numpy path and, when numba is installed, its compiled
+path, so the speedup of the compiled path is visible at a glance.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ from __future__ import annotations
 import time
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import kernels
 from .measurement import _rng
@@ -48,6 +54,21 @@ def _wigner_case():
     return run
 
 
+def _evolve_case(t: int):
+    from . import rotator
+    params = rotator.RotatorParams(n_q=16, K=2.0)
+    psi = rotator.initial_band_state(params)
+
+    def run():
+        rotator.evolve(psi, params, t)
+
+    return run
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _stdmap_case(advance):
     rng = _rng(1)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=1_000_000)
@@ -60,6 +81,16 @@ def _stdmap_case(advance):
 
 
 def main() -> None:
+    kicks = 200
+    evolve_case = _evolve_case(kicks)
+    evolve_case()
+    label = f"rotator.evolve n_q=16 t={kicks}"
+    line = f"{label:32s}  numpy: {_median_time(evolve_case):8.4f}s"
+    if resource is not None:
+        before = _minor_faults()
+        evolve_case()
+        line += f"  minor faults/kick: {(_minor_faults() - before) / kicks:.1f}"
+    print(line)
     for label, case in (("wigner_direct n_q=11", _wigner_case()),
                         ("d4_forward_2d 1024x1024", _wavelet_case())):
         case()

@@ -76,6 +76,21 @@ def test_fit_recovers_exact_power_laws():
     assert fit.exponent == pytest.approx(0.6, abs=1e-12)
 
 
+def test_fit_matches_scipy_linregress():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        ns = rng.integers(2, 20, size=rng.integers(3, 12)).astype(float)
+        if np.unique(ns).size < 2:
+            continue
+        xs = 2.0 ** (rng.normal() * ns + rng.normal(size=ns.size))
+        fit = analysis.fit_scaling(zip(ns, xs))
+        ref = stats.linregress(ns, np.log2(xs))
+        assert abs(fit.exponent - ref.slope) < 1e-10
+        assert abs(fit.intercept - ref.intercept) < 1e-10
+        assert abs(fit.stderr - ref.stderr) < 1e-10
+
+
 def test_fit_is_affine_equivariant():
     # scaling every xi by a constant moves the intercept, never the slope
     pts = [(n, 2.0 ** (1.3 * n + 0.2)) for n in range(4, 10)]

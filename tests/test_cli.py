@@ -3,6 +3,9 @@
 import argparse
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +215,20 @@ def test_amplify_command_report(tmp_path, capsys):
 def test_amplify_resource_limit_exit_code(capsys):
     assert main(["amplify", "--K", "0.5", "--nq", "11", "--t", "0",
                  "--region", "0:2,0:2"]) == 3
+
+
+@pytest.mark.parametrize("command, n_q", [("wigner", "100"), ("husimi", "64")])
+def test_huge_register_is_a_resource_error(tmp_path, command, n_q):
+    out = tmp_path / "o"
+    assert main([command, "--K", "1", "--nq", n_q, "--t", "1", "--out", str(out)]) == 3
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qphase.cli; "
+            "assert 'scipy.stats' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_amplify_region_bounds_checked(capsys):

@@ -1,11 +1,16 @@
 """Kicked-rotator quantum evolution."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from qphase import rotator
 from qphase.errors import QPhaseError
+from qphase.statevec import REGISTER_QUBIT_LIMIT, qft
 
 
 def test_params_default_period_and_kick_strength():
@@ -22,6 +27,9 @@ def test_params_validation():
     with pytest.raises(QPhaseError) as err:
         rotator.RotatorParams(n_q=4, K=-1.0)
     assert err.value.category == "invalid-parameter"
+    with pytest.raises(QPhaseError) as err:
+        rotator.RotatorParams(n_q=REGISTER_QUBIT_LIMIT + 1, K=1.0)
+    assert err.value.category == "resource"
 
 
 @pytest.mark.parametrize("K", [float("nan"), float("inf")])
@@ -75,6 +83,51 @@ def test_step_matches_dense_matrix():
         mat = oracles.dense_step_matrix(params.N, K, params.T)
         psi = oracles.random_state(params.N, seed=10)
         assert np.max(np.abs(rotator.step(psi, params) - mat @ psi)) < 1e-10
+
+
+@pytest.mark.parametrize("n_q", range(1, 8))
+@pytest.mark.parametrize("K", [0.0, 0.5, 2.0])
+def test_step_matches_dense_matrix_every_small_register(n_q, K):
+    # odd n_q is where the four-step layout is not square (N1 = 2 N2)
+    params = rotator.RotatorParams(n_q=n_q, K=K)
+    mat = oracles.dense_step_matrix(params.N, K, params.T)
+    psi = oracles.random_state(params.N, seed=20 + n_q)
+    assert np.max(np.abs(rotator.step(psi, params) - mat @ psi)) < 1e-12
+
+
+@pytest.mark.parametrize("n_q", [5, 8, 11, 16])
+def test_evolve_matches_whole_length_fft_loop(n_q):
+    params = rotator.RotatorParams(n_q=n_q, K=2.0)
+    n = np.arange(params.N, dtype=np.float64)
+    free = np.exp(-0.5j * params.T * n * n)
+    kick = np.exp(1j * params.k * np.cos(2.0 * np.pi * n / params.N))
+    psi = oracles.random_state(params.N, seed=30 + n_q)
+    expect = psi
+    for _ in range(20):
+        expect = qft(kick * qft(free * expect, "forward"), "inverse")
+    assert np.max(np.abs(rotator.evolve(psi, params, 20) - expect)) < 1e-12
+
+
+def test_evolve_makes_no_per_kick_page_faults():
+    # whole-length FFT temporaries at n_q = 16 (1 MB each) cost about 960
+    # minor faults per kick; the in-place loop faults only on its one copy.
+    # A fresh process, because glibc's malloc thresholds follow what the
+    # process allocated before.
+    pytest.importorskip("resource")
+    src = str(Path(rotator.__file__).resolve().parents[1])
+    code = (
+        f"import resource, sys\nsys.path.insert(0, {src!r})\n"
+        "from qphase import rotator\n"
+        "params = rotator.RotatorParams(n_q=16, K=2.0)\n"
+        "psi = rotator.initial_band_state(params)\n"
+        "rotator.evolve(psi, params, 1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "rotator.evolve(psi, params, 100)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert int(run.stdout) < 1000
 
 
 def test_double_register_evolution_factorizes():
