@@ -336,6 +336,9 @@ def main(argv=None) -> int:
     except QPhaseError as exc:
         log.error("%s: %s", exc.category, exc)
         return _EXIT_BY_CATEGORY.get(exc.category, 2)
+    except MemoryError as exc:
+        log.error("resource: out of memory: %s", exc)
+        return _EXIT_BY_CATEGORY["resource"]
     except Exception:  # noqa: BLE001 - the CLI must not traceback at users
         log.exception("unexpected failure")
         return 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import QPhaseError
 from .measurement import grover_iterations
-from .statevec import as_state, check_register, partial_qft_blocks
+from .statevec import as_state, check_register, even_qubits, partial_qft_blocks
 
 _WRAP_IMAGES = 4
 
@@ -55,17 +55,10 @@ class DiagonalCost:
     cost_scale_per_step: float
 
 
-def _even_qubits(psi: np.ndarray) -> int:
-    n_q = psi.size.bit_length() - 1
-    if n_q % 2 != 0:
-        raise QPhaseError("invalid-parameter", f"need an even qubit count, got n_q = {n_q}")
-    return n_q
-
-
 def modified_husimi(state) -> HusimiGrid:
     """Partial inverse DFT over the low half of the index bits."""
     psi = as_state(state)
-    n_q = _even_qubits(psi)
+    n_q = even_qubits(psi)
     b = 1 << (n_q // 2)
     H = partial_qft_blocks(psi, b, "inverse").reshape(b, b).T
     return HusimiGrid(H=np.ascontiguousarray(H), N=psi.size)
@@ -126,7 +119,7 @@ def husimi_modulus_state(state):
     output components are |H|^2 / sqrt(sum |H|^4) in row-major grid order.
     """
     psi = as_state(state)
-    n_q = _even_qubits(psi)
+    n_q = even_qubits(psi)
     check_register(2 * n_q, f"the diagonal Husimi construction at n_q = {n_q}")
     grid = modified_husimi(psi)
     h = grid.H.reshape(-1)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ParseError, QPhaseError
 from .measurement import _rng
+from .statevec import check_register
 
 
 @dataclass
@@ -248,9 +249,14 @@ CORPUS_NAMES = tuple(_CORPUS)
 
 
 def synthetic_corpus(side: int = 128) -> dict:
-    """Deterministic corpus images as GrayImage, keyed by content class."""
+    """Deterministic corpus images as GrayImage, keyed by content class.
+
+    A side above 2048 would be a register above the 22-qubit cap and raises
+    `resource` before anything is allocated.
+    """
     if side < 8 or side & (side - 1):
         raise QPhaseError("invalid-parameter", f"side must be a power of two >= 8, got {side}")
+    check_register(2 * (side.bit_length() - 1), f"a {side}x{side} corpus image")
     out = {}
     for name, make in _CORPUS.items():
         fld = make(side)

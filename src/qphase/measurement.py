@@ -17,7 +17,7 @@ import numpy as np
 
 from . import wavelet
 from .errors import QPhaseError
-from .statevec import as_state
+from .statevec import as_state, even_qubits
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -31,28 +31,16 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 
 # numpy's multinomial takes its count as a signed 64-bit integer
 _MAX_SHOTS = (1 << 63) - 1
+# shots_to_resolve doubles its shot count from _FIRST_SHOTS up to _SHOT_LIMIT
+_FIRST_SHOTS = 8
+_SHOT_LIMIT = 1 << 26
 
 
 def _draw(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts of shots draws over flat weights, normalized here."""
-    if shots > _MAX_SHOTS:
-        raise QPhaseError("invalid-parameter", f"shots must be <= {_MAX_SHOTS}, got {shots}")
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise QPhaseError("invalid-parameter", f"shots must be in [1, {_MAX_SHOTS}], got {shots}")
     return _rng(seed).multinomial(shots, weights / weights.sum())
-
-
-@dataclass
-class MeasurementRecord:
-    """Outcome counts from one sampling run; Sum counts = shots."""
-
-    counts: dict
-    shots: int
-    seed: int
-
-    def to_csv(self, fh) -> None:
-        fh.write("outcome,count\n")
-        for outcome in sorted(self.counts):
-            label = ":".join(str(x) for x in outcome) if isinstance(outcome, tuple) else str(outcome)
-            fh.write(f"{label},{self.counts[outcome]}\n")
 
 
 @dataclass
@@ -71,40 +59,27 @@ class AmplifyReport:
         return math.sin((2 * self.iterations + 1) * theta) ** 2
 
 
-def sample_computational(state, shots: int, seed: int) -> MeasurementRecord:
-    """Multinomial draws from |psi_i|^2; deterministic for a fixed seed."""
-    psi = as_state(state)
-    if shots < 1:
-        raise QPhaseError("invalid-parameter", f"shots must be >= 1, got {shots}")
-    drawn = _draw(np.abs(psi) ** 2, shots, seed)
-    counts = {int(i): int(c) for i, c in enumerate(drawn) if c}
-    return MeasurementRecord(counts=counts, shots=shots, seed=seed)
+def sample_computational(state, shots: int, seed: int) -> np.ndarray:
+    """int64 counts of shots draws from |psi_i|^2 over the N basis states, fixed by the seed."""
+    return _draw(np.abs(as_state(state)) ** 2, shots, seed)
 
 
-def coarse_grained_sample(state, n_f: int, shots: int, seed: int) -> MeasurementRecord:
+def coarse_grained_sample(state, n_f: int, shots: int, seed: int) -> np.ndarray:
     """Sample only the leading n_f bits of the row and column index.
 
-    The state is read as a square grid (index = row * side + col); outcome
-    (r, c) collects the integrated probability of its 2^(n_q/2 - n_f)-wide
-    cell. n_f equal to the per-axis qubit count reproduces computational
-    sampling cell-for-cell.
+    The state is read as a square grid (index = row * side + col); the
+    returned (2^n_f, 2^n_f) int64 counts collect, in cell (r, c), the
+    integrated probability of its 2^(n_q/2 - n_f)-wide cell. n_f equal to the
+    per-axis qubit count reproduces computational sampling cell-for-cell.
     """
-    if shots < 1:
-        raise QPhaseError("invalid-parameter", f"shots must be >= 1, got {shots}")
     probs = cell_probabilities(state, n_f)
-    cells = probs.shape[0]
-    drawn = _draw(probs.reshape(-1), shots, seed)
-    counts = {(int(i // cells), int(i % cells)): int(c) for i, c in enumerate(drawn) if c}
-    return MeasurementRecord(counts=counts, shots=shots, seed=seed)
+    return _draw(probs.reshape(-1), shots, seed).reshape(probs.shape)
 
 
 def cell_probabilities(state, n_f: int) -> np.ndarray:
     """Exact integrated cell probabilities for coarse_grained_sample."""
     psi = as_state(state)
-    n_q = psi.size.bit_length() - 1
-    if n_q % 2 != 0:
-        raise QPhaseError("invalid-parameter", f"square grid needs even n_q, got {n_q}")
-    half = n_q // 2
+    half = even_qubits(psi) // 2
     if not 0 <= n_f <= half:
         raise QPhaseError("invalid-parameter", f"n_f must be in [0, {half}], got {n_f}")
     cells = 1 << n_f
@@ -136,21 +111,20 @@ def ancilla_tomography_sample(w: float, N: int, shots: int, seed: int):
     return _ancilla_estimate(w, N, shots, _rng(seed))
 
 
-def shots_to_resolve(w: float, N: int, seed: int, start: int = 8,
-                     limit: int = 1 << 26) -> int:
+def shots_to_resolve(w: float, N: int, seed: int) -> int:
     """Smallest shot count on a doubling schedule with stderr <= |w|."""
     if w == 0.0:
         raise QPhaseError("invalid-parameter", "cannot resolve w = 0")
-    shots = start
+    shots = _FIRST_SHOTS
     attempt = 0
-    while shots <= limit:
+    while shots <= _SHOT_LIMIT:
         _, stderr = _ancilla_estimate(w, N, shots, _rng(seed, attempt))
         if stderr <= abs(w):
             return shots
         shots *= 2
         attempt += 1
     raise QPhaseError("insufficient-data",
-                      f"stderr did not reach |w| = {abs(w)} within {limit} shots")
+                      f"stderr did not reach |w| = {abs(w)} within {_SHOT_LIMIT} shots")
 
 
 def grover_iterations(weight: float) -> int:
@@ -261,8 +235,6 @@ def monte_carlo_reconstruct(amplitudes, samples: int, seed: int):
     construction. Returns (field, l2_error, psnr) against the input field.
     """
     a = np.asarray(amplitudes, dtype=np.float64)
-    if samples < 1:
-        raise QPhaseError("invalid-parameter", f"samples must be >= 1, got {samples}")
     if np.any(a < 0):
         raise QPhaseError("invalid-parameter", "amplitudes must be nonnegative")
     probs = (a * a).reshape(-1)

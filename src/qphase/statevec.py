@@ -40,6 +40,15 @@ def check_register(qubits: int, what: str) -> None:
                                       f"above the limit of {REGISTER_QUBIT_LIMIT}")
 
 
+def even_qubits(psi: np.ndarray) -> int:
+    """Qubit count of a register read as a square grid; raises `invalid-parameter` if odd."""
+    n_q = psi.size.bit_length() - 1
+    if n_q % 2 != 0:
+        raise QPhaseError("invalid-parameter",
+                          f"square grid needs an even qubit count, got n_q = {n_q}")
+    return n_q
+
+
 def as_state(amplitudes) -> np.ndarray:
     """Coerce to a normalized complex statevector, checking the register invariants."""
     psi = np.asarray(amplitudes, dtype=np.complex128)

@@ -41,11 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rotator
 from .errors import QPhaseError
-from .statevec import as_state, check_register, qft
+from .statevec import as_state, check_register, partial_qft_blocks, qft
 
 
 # samples per block of the fourth-power sum in wigner_ipr
@@ -116,7 +117,7 @@ def wigner_direct(state) -> WignerGrid:
         np.multiply(left[h:], right[q + h:q + N], out=other)
         other *= 1j
         pair += other
-        np.fft.fft(pair, axis=1, out=pair)
+        pair = scipy.fft.fft(pair, axis=1, overwrite_x=True)
         pair *= twiddle
         rows = values[q::2]
         rows[:h, :N] = pair.real
@@ -157,7 +158,7 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int):
     m = np.arange(N)
     T1 = np.zeros((2 * N, N), dtype=np.complex128)
     T1[np.add.outer(m, m), m[None, :]] = np.outer(a, b)
-    T2 = np.fft.ifft(T1, axis=1, norm="ortho")           # second-register QFT
+    T2 = partial_qft_blocks(T1.reshape(-1), N, "inverse").reshape(2 * N, N)  # second-register QFT
     T3 = np.concatenate([T2, T2], axis=1) / np.sqrt(2.0)  # duplication split
     Theta = np.arange(2 * N, dtype=np.float64)[:, None]
     n_full = np.arange(2 * N, dtype=np.float64)[None, :]

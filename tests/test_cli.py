@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qphase import analysis, cli, imageio
+from qphase import analysis, cli, imageio, stdmap
 from qphase.cli import main
 
 
@@ -129,6 +129,25 @@ def test_rotator_scan_needs_kick_strength_and_count(tmp_path):
         assert main(["scan", "husimi", *flags, "--fit-range", "4:8",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_scan_image_above_register_cap_is_a_resource_error(tmp_path):
+    out = tmp_path / "big"
+    assert main(["scan", "image", "--fit-range", "100:104", "--out", str(out)]) == 3
+    assert not (out / "scan.csv").exists()
+
+
+def test_memory_error_is_a_resource_exit(tmp_path, monkeypatch, caplog):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr(stdmap, "initial_band", exhausted)
+    assert main(["classical", "--K", "1", "--t", "1", "--seed", "1",
+                 "--shots", "1000000000000", "--out", str(tmp_path / "c")]) == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert "out of memory" in errors[0].getMessage()
+    assert errors[0].exc_info is None
 
 
 def test_malformed_fit_range_rejected():

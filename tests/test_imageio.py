@@ -222,6 +222,11 @@ def test_corpus_side_validation():
         with pytest.raises(QPhaseError) as err:
             imageio.synthetic_corpus(bad)
         assert err.value.category == "invalid-parameter"
+    # a 4096 x 4096 image is a 24-qubit register, above the cap; nothing is allocated
+    for big in (1 << 12, 1 << 50):
+        with pytest.raises(QPhaseError) as err:
+            imageio.synthetic_corpus(big)
+        assert err.value.category == "resource"
 
 
 # Fixed example sequence and no per-example deadline: the suite must give the

@@ -1,6 +1,5 @@
 """Sampling protocols, amplitude amplification, field reconstruction."""
 
-import io
 import math
 
 import numpy as np
@@ -17,19 +16,19 @@ def test_delta_state_sampling_is_deterministic():
     psi = np.zeros(8, dtype=complex)
     psi[5] = 1.0
     for seed in (0, 99):
-        rec = measurement.sample_computational(psi, 1000, seed)
-        assert rec.counts == {5: 1000}
-        assert rec.shots == 1000
+        counts = measurement.sample_computational(psi, 1000, seed)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, [0, 0, 0, 0, 0, 1000, 0, 0])
 
 
 def test_uniform_sampling_within_5_sigma():
     psi = np.full(4, 0.5, dtype=complex)
     shots = 1_000_000
-    rec = measurement.sample_computational(psi, shots, seed=1)
-    assert sum(rec.counts.values()) == shots
+    counts = measurement.sample_computational(psi, shots, seed=1)
+    assert counts.sum() == shots
     sigma = math.sqrt(shots * 0.25 * 0.75)
     for i in range(4):
-        assert abs(rec.counts.get(i, 0) - shots / 4) < 5 * sigma
+        assert abs(counts[i] - shots / 4) < 5 * sigma
 
 
 def test_sampling_error_decays_as_inverse_sqrt_shots():
@@ -40,10 +39,7 @@ def test_sampling_error_decays_as_inverse_sqrt_shots():
     points = []
     for exp in range(10, 17):
         shots = 1 << exp
-        rec = measurement.sample_computational(psi, shots, seed=exp)
-        freq = np.zeros(256)
-        for i, c in rec.counts.items():
-            freq[i] = c / shots
+        freq = measurement.sample_computational(psi, shots, seed=exp) / shots
         points.append((exp, np.abs(freq - probs).sum()))
     slope = np.polyfit([p[0] for p in points], [np.log2(p[1]) for p in points], 1)[0]
     assert -0.6 < slope < -0.4
@@ -54,8 +50,8 @@ def test_sampling_is_seed_reproducible():
     a = measurement.sample_computational(psi, 5000, seed=7)
     b = measurement.sample_computational(psi, 5000, seed=7)
     c = measurement.sample_computational(psi, 5000, seed=8)
-    assert a.counts == b.counts
-    assert a.counts != c.counts
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sampling_validation():
@@ -68,20 +64,14 @@ def test_sampling_validation():
 def test_shots_bounded_by_the_multinomial_count_range():
     psi = oracles.random_state(16, seed=0)
     largest = (1 << 63) - 1
-    assert sum(measurement.sample_computational(psi, largest, seed=0).counts.values()) == largest
+    assert measurement.sample_computational(psi, largest, seed=0).sum() == largest
     for draw in (lambda n: measurement.sample_computational(psi, n, seed=0),
                  lambda n: measurement.coarse_grained_sample(psi, 1, n, seed=0),
                  lambda n: measurement.monte_carlo_reconstruct(np.abs(psi), n, seed=0)):
-        with pytest.raises(QPhaseError) as err:
-            draw(largest + 1)
-        assert err.value.category == "invalid-parameter"
-
-
-def test_record_csv_format():
-    rec = measurement.MeasurementRecord(counts={(1, 2): 5, (0, 3): 7}, shots=12, seed=0)
-    buf = io.StringIO()
-    rec.to_csv(buf)
-    assert buf.getvalue() == "outcome,count\n0:3,7\n1:2,5\n"
+        for shots in (0, largest + 1):
+            with pytest.raises(QPhaseError) as err:
+                draw(shots)
+            assert err.value.category == "invalid-parameter"
 
 
 # ------------------------------------------------------- coarse-grained bits
@@ -91,14 +81,14 @@ def test_full_resolution_coarse_equals_computational():
     fine = measurement.sample_computational(psi, 4000, seed=9)
     coarse = measurement.coarse_grained_sample(psi, 3, 4000, seed=9)
     # same probabilities, same stream: counts agree cell for cell
-    remapped = {r * 8 + c: n for (r, c), n in coarse.counts.items()}
-    assert remapped == fine.counts
+    assert coarse.shape == (8, 8)
+    assert np.array_equal(coarse.reshape(-1), fine)
 
 
 def test_zero_bits_collapse_to_one_cell():
     psi = oracles.random_state(16, seed=26)
-    rec = measurement.coarse_grained_sample(psi, 0, 500, seed=0)
-    assert rec.counts == {(0, 0): 500}
+    counts = measurement.coarse_grained_sample(psi, 0, 500, seed=0)
+    assert np.array_equal(counts, [[500]])
 
 
 def test_cell_probabilities_match_block_sums():
