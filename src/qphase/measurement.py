@@ -29,17 +29,22 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-# numpy's multinomial takes its count as a signed 64-bit integer
+# numpy's multinomial and binomial take their count as a signed 64-bit integer
 _MAX_SHOTS = (1 << 63) - 1
 # shots_to_resolve doubles its shot count from _FIRST_SHOTS up to _SHOT_LIMIT
 _FIRST_SHOTS = 8
 _SHOT_LIMIT = 1 << 26
 
 
-def _draw(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial counts of shots draws over flat weights, normalized here."""
+def _check_shots(shots: int) -> None:
+    """The one shot bound, shared by the multinomial and binomial draws."""
     if not 1 <= shots <= _MAX_SHOTS:
         raise QPhaseError("invalid-parameter", f"shots must be in [1, {_MAX_SHOTS}], got {shots}")
+
+
+def _draw(weights: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Multinomial counts of shots draws over flat weights, normalized here."""
+    _check_shots(shots)
     return _rng(seed).multinomial(shots, weights / weights.sum())
 
 
@@ -88,8 +93,7 @@ def cell_probabilities(state, n_f: int) -> np.ndarray:
 
 
 def _ancilla_estimate(w: float, N: int, shots: int, rng: np.random.Generator):
-    if shots < 1:
-        raise QPhaseError("invalid-parameter", f"shots must be >= 1, got {shots}")
+    _check_shots(shots)
     mean = 2.0 * N * w
     if abs(mean) > 1.0 + 1e-12:
         raise QPhaseError("invalid-parameter",

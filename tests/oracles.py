@@ -52,13 +52,16 @@ def brute_wigner(psi_angle: np.ndarray) -> np.ndarray:
     return full
 
 
-def dense_step_matrix(n_dim: int, K: float, T: float) -> np.ndarray:
-    # one kicked-rotator step as an explicit N x N matrix acting on the
-    # momentum representation: inverse-DFT . diag(kick) . DFT . diag(free)
-    k = K / T
-    n = np.arange(n_dim)
+def dense_step_matrix(n_dim: int, K: float) -> np.ndarray:
+    # one kicked-rotator step at the period T = 2 pi / N as an explicit N x N
+    # matrix acting on the momentum representation:
+    # inverse-DFT . diag(kick) . DFT . diag(free). The free phase
+    # e^{-i T n^2 / 2} = e^{-i pi n^2 / N} takes n^2 mod 2N in int64, so its
+    # argument stays below 2 pi and the phase is exact to one rounding.
+    k = K * n_dim / (2.0 * np.pi)
+    n = np.arange(n_dim, dtype=np.int64)
     theta = 2.0 * np.pi * n / n_dim
-    free = np.exp(-1j * T * n * n / 2.0)
+    free = np.exp(-1j * np.pi / n_dim * ((n * n) % (2 * n_dim)))
     kick = np.exp(1j * k * np.cos(theta))
     fwd = dft_matrix(n_dim)
     inv = dft_matrix(n_dim, inverse=True)

@@ -65,9 +65,13 @@ def test_shots_bounded_by_the_multinomial_count_range():
     psi = oracles.random_state(16, seed=0)
     largest = (1 << 63) - 1
     assert measurement.sample_computational(psi, largest, seed=0).sum() == largest
+    # the ancilla's binomial draw takes the same count range
+    est, stderr = measurement.ancilla_tomography_sample(0.001, 64, largest, seed=0)
+    assert abs(est - 0.001) <= 5 * stderr
     for draw in (lambda n: measurement.sample_computational(psi, n, seed=0),
                  lambda n: measurement.coarse_grained_sample(psi, 1, n, seed=0),
-                 lambda n: measurement.monte_carlo_reconstruct(np.abs(psi), n, seed=0)):
+                 lambda n: measurement.monte_carlo_reconstruct(np.abs(psi), n, seed=0),
+                 lambda n: measurement.ancilla_tomography_sample(0.001, 64, n, seed=0)):
         for shots in (0, largest + 1):
             with pytest.raises(QPhaseError) as err:
                 draw(shots)

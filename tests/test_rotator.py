@@ -49,6 +49,20 @@ def test_free_phase_is_momentum_periodic():
     assert np.max(np.abs(phase - shifted)) < 1e-12
 
 
+@pytest.mark.parametrize("n_q", range(1, 9))
+def test_free_rotation_is_chirp_dft_chirp_in_the_angle_basis(n_q):
+    # the quadratic Gauss sum sum_n e^{-i pi n^2 / N} = sqrt(N) e^{-i pi/4}
+    # (N even) gives F P F^{-1} = e^{-i pi/4} D F D with the evolution's chirp D
+    N = 1 << n_q
+    n = np.arange(N, dtype=np.int64)
+    free = np.diag(np.exp(-1j * np.pi / N * ((n * n) % (2 * N))))
+    fwd = oracles.dft_matrix(N)
+    chirp = np.diag(rotator._chirp(n_q))
+    lhs = fwd @ free @ oracles.dft_matrix(N, inverse=True)
+    rhs = np.exp(-0.25j * np.pi) * chirp @ fwd @ chirp
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
 def test_band_state_examples():
     # n_q = 3: all weight on |0> (N/8 = 1 slot)
     psi = rotator.initial_band_state(rotator.RotatorParams(n_q=3, K=1.0))
@@ -80,7 +94,7 @@ def test_zero_kick_only_rotates_phases():
 def test_step_matches_dense_matrix():
     for K in (0.5, 2.0):
         params = rotator.RotatorParams(n_q=4, K=K)
-        mat = oracles.dense_step_matrix(params.N, K, params.T)
+        mat = oracles.dense_step_matrix(params.N, K)
         psi = oracles.random_state(params.N, seed=10)
         assert np.max(np.abs(rotator.step(psi, params) - mat @ psi)) < 1e-10
 
@@ -90,16 +104,40 @@ def test_step_matches_dense_matrix():
 def test_step_matches_dense_matrix_every_small_register(n_q, K):
     # odd n_q is where the four-step layout is not square (N1 = 2 N2)
     params = rotator.RotatorParams(n_q=n_q, K=K)
-    mat = oracles.dense_step_matrix(params.N, K, params.T)
+    mat = oracles.dense_step_matrix(params.N, K)
     psi = oracles.random_state(params.N, seed=20 + n_q)
     assert np.max(np.abs(rotator.step(psi, params) - mat @ psi)) < 1e-12
+
+
+@pytest.mark.parametrize("n_q", range(1, 8))
+@pytest.mark.parametrize("K", [0.0, 0.5, 2.0])
+def test_evolve_matches_dense_matrix_powers(n_q, K):
+    # t = 1..4 ends the alternating layouts once in each parity, from an odd
+    # t's permuted start and an even t's natural one
+    params = rotator.RotatorParams(n_q=n_q, K=K)
+    mat = oracles.dense_step_matrix(params.N, K)
+    psi = oracles.random_state(params.N, seed=40 + n_q)
+    expect = psi
+    for t in range(1, 5):
+        expect = mat @ expect
+        assert np.max(np.abs(rotator.evolve(psi, params, t) - expect)) < 1e-12
+
+
+def test_free_evolution_matches_closed_form_over_1000_kicks():
+    # K = 0: t kicks multiply momentum n by e^{-i pi (t n^2 mod 2N) / N}
+    params = rotator.RotatorParams(n_q=16, K=0.0)
+    t = 1000
+    n = np.arange(params.N, dtype=np.int64)
+    psi = oracles.random_state(params.N, seed=50)
+    expect = np.exp(-1j * np.pi / params.N * ((t * n * n) % (2 * params.N))) * psi
+    assert np.max(np.abs(rotator.evolve(psi, params, t) - expect)) < 1e-13
 
 
 @pytest.mark.parametrize("n_q", [5, 8, 11, 16])
 def test_evolve_matches_whole_length_fft_loop(n_q):
     params = rotator.RotatorParams(n_q=n_q, K=2.0)
-    n = np.arange(params.N, dtype=np.float64)
-    free = np.exp(-0.5j * params.T * n * n)
+    n = np.arange(params.N, dtype=np.int64)
+    free = np.exp(-1j * np.pi / params.N * ((n * n) % (2 * params.N)))
     kick = np.exp(1j * params.k * np.cos(2.0 * np.pi * n / params.N))
     psi = oracles.random_state(params.N, seed=30 + n_q)
     expect = psi
@@ -135,7 +173,7 @@ def test_double_register_evolution_factorizes():
     # u (x) conj(u) agrees with the dense product operator U (x) conj(U)
     # acting on the joint register
     params = rotator.RotatorParams(n_q=4, K=0.8)
-    mat = oracles.dense_step_matrix(params.N, params.K, params.T)
+    mat = oracles.dense_step_matrix(params.N, params.K)
     joint_op = np.kron(mat, mat.conj())
     psi = oracles.random_state(params.N, seed=12)
     joint = np.kron(psi, psi.conj())
