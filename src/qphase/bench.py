@@ -2,10 +2,9 @@
 
 Run as `python -m qphase.bench`. Reports the median of three passes for the
 kicked-rotator evolution at n_q = 16, with its minor page faults per kick
-where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11
-and the 2D wavelet pyramid, which have one numpy path each, and for the
-classical map on its numpy path and, when numba is installed, its compiled
-path, so the speedup of the compiled path is visible at a glance.
+where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11,
+the 2D wavelet pyramid and the classical map's `kernels.stdmap_advance`.
+Every kernel has one numpy path.
 """
 
 from __future__ import annotations
@@ -69,13 +68,13 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _stdmap_case(advance):
+def _stdmap_case():
     rng = _rng(1)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=1_000_000)
     p = rng.uniform(-np.pi, np.pi, size=1_000_000)
 
     def run():
-        advance(theta, p, 2.0, 100, True)
+        kernels.stdmap_advance(theta, p, 2.0, 100)
 
     return run
 
@@ -92,20 +91,10 @@ def main() -> None:
         line += f"  minor faults/kick: {(_minor_faults() - before) / kicks:.1f}"
     print(line)
     for label, case in (("wigner_direct n_q=11", _wigner_case()),
-                        ("d4_forward_2d 1024x1024", _wavelet_case())):
+                        ("d4_forward_2d 1024x1024", _wavelet_case()),
+                        ("stdmap 1e6 points x 100 steps", _stdmap_case())):
         case()
         print(f"{label:32s}  numpy: {_median_time(case):8.4f}s")
-    paths = [("numpy", kernels._stdmap_advance_np)]
-    if kernels.HAS_NUMBA:
-        paths.append(("numba", kernels._stdmap_advance_nb))
-    else:
-        print("numba is not installed; timing the map's numpy path only")
-    line = [f"{'stdmap 1e6 points x 100 steps':32s}"]
-    for name, advance in paths:
-        stdmap_case = _stdmap_case(advance)
-        stdmap_case()  # warm-up covers JIT compilation
-        line.append(f"{name}: {_median_time(stdmap_case):8.4f}s")
-    print("  ".join(line))
 
 
 if __name__ == "__main__":

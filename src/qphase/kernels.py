@@ -1,10 +1,9 @@
 """Hot numeric kernels: the 4-tap wavelet level stencil and the classical
 map ensemble advance.
 
-The D4 stencil is numpy only; it works along any axis, so 2D transforms
-need no transposes. The map advance exists in a pure-numpy form and, when
-numba imports, a compiled form; `stdmap_advance` runs the compiled form
-whenever it exists. The two map paths apply the same update in the same order.
+Both are numpy only. The D4 stencil works along any axis, so 2D transforms
+need no transposes. The map advance is one loop of whole-array updates, and
+the cell wrap it applies (`wrap_theta`, `wrap_momentum`) is defined here once.
 
 Filter taps: h = ((1+r3), (3+r3), (3-r3), (1-r3)) / (4 sqrt 2) with r3=sqrt 3,
 g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
@@ -17,12 +16,6 @@ import math
 
 import numpy as np
 
-try:
-    import numba
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
 _R3 = math.sqrt(3.0)
 _S2 = math.sqrt(2.0)
 D4_H = np.array([(1.0 + _R3), (3.0 + _R3), (3.0 - _R3), (1.0 - _R3)]) / (4.0 * _S2)
@@ -30,8 +23,9 @@ D4_G = np.array([D4_H[3], -D4_H[2], D4_H[1], -D4_H[0]])
 
 
 def numba_active() -> bool:
-    """Whether `stdmap_advance` runs the compiled loop: numba imported."""
-    return HAS_NUMBA
+    """Always False: the map has one numpy loop. The benchmark
+    (`perfbench/worker.py`) reads it to record the run's kernel path."""
+    return False
 
 
 def _along(ndim: int, axis: int, sl: slice) -> tuple:
@@ -122,37 +116,32 @@ def d4_synthesize(a: np.ndarray, d: np.ndarray, axis: int = -1) -> np.ndarray:
     return x
 
 
-def _stdmap_advance_np(theta, p, K, t, wrap_p):
-    two_pi = 2.0 * math.pi
-    for _ in range(t):
-        p = p + K * np.sin(theta)
-        theta = (theta + p) % two_pi
-        if wrap_p:
-            p = (p + math.pi) % two_pi - math.pi
-    return theta, p
+TWO_PI = 2.0 * math.pi
 
 
-if HAS_NUMBA:
-    @numba.njit(cache=True)
-    def _stdmap_advance_nb(theta, p, K, t, wrap_p):  # pragma: no cover
-        two_pi = 2.0 * math.pi
-        n = theta.shape[0]
-        th = theta.copy()
-        pp = p.copy()
-        for _ in range(t):
-            for i in range(n):
-                pi_new = pp[i] + K * math.sin(th[i])
-                th[i] = (th[i] + pi_new) % two_pi
-                if wrap_p:
-                    pi_new = (pi_new + math.pi) % two_pi - math.pi
-                pp[i] = pi_new
-        return th, pp
+def wrap_theta(theta):
+    """theta mod 2 pi, in [0, 2 pi) up to rounding: numpy's `%` returns 2 pi
+    itself for negative inputs within round-off of a multiple of 2 pi."""
+    return np.asarray(theta) % TWO_PI
+
+
+def wrap_momentum(p):
+    """p wrapped into the cell [-pi, pi), with the same rounding edge at pi."""
+    return (np.asarray(p) + math.pi) % TWO_PI - math.pi
 
 
 def stdmap_advance(theta, p, K: float, t: int, wrap_p: bool = True):
-    """Advance (theta, p) ensembles t map steps; coordinates stay float64."""
-    th = np.ascontiguousarray(theta, dtype=np.float64)
-    pp = np.ascontiguousarray(p, dtype=np.float64)
-    if HAS_NUMBA:
-        return _stdmap_advance_nb(th, pp, float(K), int(t), wrap_p)
-    return _stdmap_advance_np(th.copy(), pp.copy(), float(K), int(t), wrap_p)
+    """Advance (theta, p) ensembles t map steps; returns float64 copies.
+
+    Each step is p += K sin(theta), theta = wrap_theta(theta + p), then
+    p = wrap_momentum(p) when wrap_p is set.
+    """
+    theta = np.array(theta, dtype=np.float64)
+    p = np.array(p, dtype=np.float64)
+    K = float(K)
+    for _ in range(int(t)):
+        p = p + K * np.sin(theta)
+        theta = wrap_theta(theta + p)
+        if wrap_p:
+            p = wrap_momentum(p)
+    return theta, p

@@ -5,7 +5,8 @@ Rescaled variables (theta, p = T n), one phase-space cell:
     p'     = p + K sin(theta)
     theta' = theta + p'
 
-theta wraps into [0, 2 pi), p into [-pi, pi). The exact inverse is
+theta wraps into [0, 2 pi), p into [-pi, pi), by `kernels.wrap_theta` and
+`kernels.wrap_momentum`. The exact inverse is
 theta = theta' - p', p = p' - K sin(theta).
 """
 
@@ -18,8 +19,6 @@ import numpy as np
 from . import kernels
 from .errors import QPhaseError
 from .measurement import _rng
-
-TWO_PI = 2.0 * np.pi
 
 # initial band in wrapped momentum, a quarter-pi strip at the bottom of the
 # cell with uniform theta. It does not match rotator.initial_band_state, which
@@ -43,23 +42,22 @@ class ClassicalEnsemble:
             raise QPhaseError("invalid-data", "ensemble coordinates must be finite")
 
 
-def wrap_theta(theta):
-    return np.asarray(theta) % TWO_PI
-
-
-def wrap_p(p):
-    return (np.asarray(p) + np.pi) % TWO_PI - np.pi
-
-
 def initial_band(K: float, count: int = DEFAULT_ENSEMBLE_SIZE,
                  seed: int = 0) -> ClassicalEnsemble:
-    """Uniform random band: theta in [0, 2 pi), p in DEFAULT_BAND_P."""
-    if not np.isfinite(K):
-        raise QPhaseError("invalid-parameter", f"K must be finite, got {K}")
+    """Uniform random band: theta in [0, 2 pi), p in DEFAULT_BAND_P.
+
+    A count whose float64 arrays numpy cannot size raises `resource` before
+    anything is allocated.
+    """
+    if not np.isfinite(K) or K < 0:
+        raise QPhaseError("invalid-parameter", f"K must be finite and >= 0, got {K}")
     if count < 1:
         raise QPhaseError("invalid-parameter", f"ensemble size must be >= 1, got {count}")
+    if count * 8 > np.iinfo(np.intp).max:
+        raise QPhaseError("resource", f"an ensemble of {count} points needs float64 "
+                                      "arrays larger than numpy can address")
     rng = _rng(seed)
-    theta = rng.uniform(0.0, TWO_PI, size=count)
+    theta = rng.uniform(0.0, kernels.TWO_PI, size=count)
     p = rng.uniform(*DEFAULT_BAND_P, size=count)
     return ClassicalEnsemble(theta, p, float(K))
 
@@ -87,8 +85,8 @@ def histogram_density(ens: ClassicalEnsemble, n_theta: int, n_p: int) -> np.ndar
     if n_theta < 1 or n_p < 1:
         raise QPhaseError("invalid-parameter", "histogram needs at least one bin per axis")
     grid, _, _ = np.histogram2d(
-        wrap_theta(ens.theta), wrap_p(ens.p),
+        kernels.wrap_theta(ens.theta), kernels.wrap_momentum(ens.p),
         bins=(n_theta, n_p),
-        range=((0.0, TWO_PI), (-np.pi, np.pi)),
+        range=((0.0, kernels.TWO_PI), (-np.pi, np.pi)),
     )
     return grid / grid.sum()

@@ -207,11 +207,19 @@ def test_reconstruct_montecarlo_shot_bound(tmp_path):
                  "--k", "100000000000000000000", "--out", str(tmp_path / "r")]) == 2
 
 
-@pytest.mark.parametrize("K", ["nan", "inf"])
+@pytest.mark.parametrize("K", ["nan", "inf", "-1"])
 def test_classical_non_finite_kick_strength_rejected(tmp_path, K):
     out = tmp_path / "c"
     assert main(["classical", "--K", K, "--t", "5", "--seed", "1", "--shots", "100",
                  "--out", str(out)]) == 2
+    assert not list(out.glob("*.pgm"))
+
+
+@pytest.mark.parametrize("shots", ["9223372036854775807", "100000000000000000000"])
+def test_classical_unsizable_ensemble_is_a_resource_error(tmp_path, shots):
+    out = tmp_path / "c"
+    assert main(["classical", "--K", "1", "--t", "1", "--seed", "1", "--shots", shots,
+                 "--out", str(out)]) == 3
     assert not list(out.glob("*.pgm"))
 
 

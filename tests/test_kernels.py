@@ -1,26 +1,27 @@
-"""The D4 stencil, and equivalence of the numpy and numba map paths."""
+"""The D4 stencil, and the classical map advance against its documented step."""
 
 import numpy as np
-import pytest
 
 import oracles
 from qphase import kernels
-from qphase.kernels import HAS_NUMBA
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
 
-@needs_numba
-def test_stdmap_advance_paths_agree():
+def test_stdmap_advance_is_the_documented_step_bit_for_bit():
+    # p += K sin(theta), theta = wrap(theta + p), p = wrap(p) when wrapping
+    # is on; the same numpy operations in the same order give the same bits
     rng = np.random.default_rng(2)
-    theta = rng.uniform(0, 2 * np.pi, size=1000)
-    p = rng.uniform(-np.pi, np.pi, size=1000)
+    theta0 = rng.uniform(0, 2 * np.pi, size=1000)
+    p0 = rng.uniform(-np.pi, np.pi, size=1000)
+    K, two_pi = 1.3, 2 * np.pi
     for wrap in (True, False):
-        th_np, p_np = kernels._stdmap_advance_np(theta, p, 1.3, 20, wrap)
-        th_nb, p_nb = kernels._stdmap_advance_nb(theta, p, 1.3, 20, wrap)
-        # identical update order, so agreement is tight even after 20 steps
-        assert np.max(np.abs(th_np - th_nb)) < 1e-9
-        assert np.max(np.abs(p_np - p_nb)) < 1e-9
+        theta, p = theta0, p0
+        for _ in range(20):
+            p = p + K * np.sin(theta)
+            theta = (theta + p) % two_pi
+            if wrap:
+                p = (p + np.pi) % two_pi - np.pi
+        got_theta, got_p = kernels.stdmap_advance(theta0, p0, K, 20, wrap)
+        assert np.array_equal(got_theta, theta) and np.array_equal(got_p, p), wrap
 
 
 def test_analyze_synthesize_roundtrip_on_active_path():

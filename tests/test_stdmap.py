@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from qphase import stdmap
+from qphase import kernels, stdmap
 from qphase.errors import QPhaseError
 
 
@@ -49,7 +49,7 @@ def test_evolve_rejects_negative_time():
     assert err.value.category == "invalid-parameter"
 
 
-@pytest.mark.parametrize("K", [float("nan"), float("inf")])
+@pytest.mark.parametrize("K", [float("nan"), float("inf"), -1.0])
 def test_initial_band_rejects_non_finite_kick_strength(K):
     with pytest.raises(QPhaseError) as err:
         stdmap.initial_band(K, count=10, seed=0)
@@ -61,10 +61,10 @@ def test_inverse_map_recovers_preimage():
     K = 1.4
     ens = stdmap.initial_band(K, count=1000, seed=6)
     out = stdmap.evolve_ensemble(ens, 1)
-    theta_back = stdmap.wrap_theta(out.theta - out.p)
-    p_back = stdmap.wrap_p(out.p - K * np.sin(theta_back))
-    dtheta = np.abs(stdmap.wrap_theta(theta_back - ens.theta + np.pi) - np.pi)
-    dp = np.abs(stdmap.wrap_p(p_back - ens.p))
+    theta_back = kernels.wrap_theta(out.theta - out.p)
+    p_back = kernels.wrap_momentum(out.p - K * np.sin(theta_back))
+    dtheta = np.abs(kernels.wrap_theta(theta_back - ens.theta + np.pi) - np.pi)
+    dp = np.abs(kernels.wrap_momentum(p_back - ens.p))
     assert np.max(dtheta) < 1e-12
     assert np.max(dp) < 1e-12
 
