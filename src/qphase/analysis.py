@@ -13,11 +13,8 @@ from . import husimi as husimi_mod
 from . import rotator, wavelet, wigner
 from .errors import QPhaseError
 
-__all__ = [
-    "ScalingFit", "ScanRow", "ipr", "entropy", "ipr_ratio", "fit_scaling",
-    "ipr_entropy_compare", "wavelet_weights",
-    "wigner_scan_row", "husimi_scan_row", "image_scan_row",
-]
+# samples per block of the power sums in _square_sums
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -36,30 +33,77 @@ class ScalingFit:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One line of a scan table."""
+    """One line of a scan table.
+
+    xi_raw and xi_wavelet are amplitude participation ratios, of the field
+    and of its D4 coefficients: `ipr` for Husimi and image rows, and for
+    Wigner rows `wigner_ipr`, with its fixed 1/N^2 normalization. R is
+    derived from them. S is an entropy in bits: for Wigner rows that of the
+    raw weights 2N W^2, for Husimi rows that of |H|^2, and for image rows
+    that of the squared wavelet coefficients, the weights whose 2^S tracks
+    xi_wavelet. Husimi rows read |H| as the amplitude field, which no
+    construction in the package prepares.
+    """
 
     K: float
     n_q: int
     xi_raw: float
     xi_wavelet: float
-    R: float
     S: float
+
+    @property
+    def R(self) -> float:
+        """The raw-to-wavelet participation ratio, xi_raw / xi_wavelet."""
+        return self.xi_raw / self.xi_wavelet
 
     def csv(self) -> str:
         return (f"{self.K:.17g},{self.n_q},{self.xi_raw:.17g},"
                 f"{self.xi_wavelet:.17g},{self.R:.17g},{self.S:.17g}")
 
 
-def ipr(weights) -> float:
-    """Participation ratio (sum w)^2 / sum w^2; scale-invariant."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if np.any(w < 0):
-        raise QPhaseError("invalid-parameter", "weights must be nonnegative")
-    denom = float(np.sum(w * w))
-    if denom == 0.0:
-        raise QPhaseError("degenerate-input", "all weights are zero")
-    total = float(np.sum(w))
-    return total * total / denom
+def _square_sums(values) -> tuple:
+    """(sum v^2, sum v^4) over every entry of values.
+
+    The squares are taken in blocks of one reused buffer and squared again
+    in place, so no field-sized temporary is made; the block sums are added
+    in sequence.
+    """
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    buf = np.empty(min(flat.size, _BLOCK))
+    second = fourth = 0.0
+    for start in range(0, flat.size, _BLOCK):
+        chunk = flat[start:start + _BLOCK]
+        s = buf[:chunk.size]
+        np.multiply(chunk, chunk, out=s)
+        second += float(np.sum(s))
+        s *= s
+        fourth += float(np.sum(s))
+    return second, fourth
+
+
+def ipr(amplitudes) -> float:
+    """Participation ratio xi = (sum a^2)^2 / sum a^4 of a real amplitude
+    field, such as |H|, image amplitudes or D4 coefficients; the sign of
+    each amplitude does not matter, and xi is scale-invariant."""
+    second, fourth = _square_sums(amplitudes)
+    if fourth == 0.0:
+        raise QPhaseError("degenerate-input", "all amplitudes are zero")
+    return second * second / fourth
+
+
+def wigner_ipr(values) -> float:
+    """xi = 1 / (N^2 sum W^4) over the whole (2N, 2N) grid.
+
+    values is a grid's `values`, or the same grid in any orthonormal basis,
+    such as its D4 coefficients. On a grid that obeys the sum rule
+    sum W^2 = 1/(2N) this is 4 ipr(values); the normalization is fixed at
+    1/N^2 rather than taken from the grid's own sum of squares.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    fourth = _square_sums(v)[1]
+    if fourth == 0.0:
+        raise QPhaseError("degenerate-input", "all-zero grid has no participation ratio")
+    return 1.0 / ((v.shape[0] // 2) ** 2 * fourth)
 
 
 def entropy(weights) -> float:
@@ -79,12 +123,6 @@ def entropy(weights) -> float:
     p = w / total
     special.entr(p, out=p)
     return float(np.sum(p)) / math.log(2.0)
-
-
-def ipr_ratio(xi_raw: float, xi_wavelet: float) -> float:
-    if xi_wavelet == 0.0:
-        raise QPhaseError("degenerate-input", "wavelet participation ratio is zero")
-    return xi_raw / xi_wavelet
 
 
 def fit_scaling(points) -> ScalingFit:
@@ -116,17 +154,6 @@ def fit_scaling(points) -> ScalingFit:
                       range=(min(ns), max(ns)))
 
 
-def ipr_entropy_compare(weights):
-    """Return (xi, 2^S); the participation ratio never exceeds 2^S."""
-    return ipr(weights), 2.0 ** entropy(weights)
-
-
-def wavelet_weights(coeffs: wavelet.WaveletCoeffs) -> np.ndarray:
-    """Squared coefficients, the weight vector of a transformed field."""
-    v = np.asarray(coeffs.values, dtype=np.float64).reshape(-1)
-    return v * v
-
-
 def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     """Evolve the band state and tabulate localization measures.
 
@@ -138,40 +165,39 @@ def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     psi = rotator.evolve(rotator.initial_band_state(params), params, t)
     grid = wigner.wigner_from_momentum(psi)
     full = grid.values
-    xi_raw = wigner.wigner_ipr(full)
-    xi_wav = wigner.wigner_ipr(wavelet.d4_forward_2d(full).values)
+    xi_raw = wigner_ipr(full)
+    xi_wav = wigner_ipr(wavelet.d4_forward_2d(full).values)
     left = full[:, :grid.N]
     weights = np.multiply(left, left)
     weights *= 4 * grid.N
-    s = entropy(weights) + 1.0
     return ScanRow(K=K, n_q=n_q, xi_raw=xi_raw, xi_wavelet=xi_wav,
-                   R=ipr_ratio(xi_raw, xi_wav), S=s)
+                   S=entropy(weights) + 1.0)
 
 
 def husimi_scan_row(K: float, n_q: int, t: int) -> ScanRow:
-    """Modified-Husimi localization measures for the evolved band state."""
+    """Modified-Husimi localization measures for the evolved band state.
+
+    The participation ratios read the modulus |H| as an amplitude field, the
+    wavelet one after the D4 transform of |H|; S is the entropy of |H|^2.
+    """
     if n_q % 2 != 0:
         raise QPhaseError("invalid-parameter", f"need even n_q, got {n_q}")
     params = rotator.RotatorParams(n_q=n_q, K=K)
     psi = rotator.evolve(rotator.initial_band_state(params), params, t)
     grid = husimi_mod.modified_husimi(psi)
     mod = np.abs(grid.H)
-    probs = mod * mod
-    xi_raw = ipr(probs)
-    coeffs = wavelet.d4_forward_2d(mod)
-    xi_wav = ipr(wavelet_weights(coeffs))
-    return ScanRow(K=K, n_q=n_q, xi_raw=xi_raw, xi_wavelet=xi_wav,
-                   R=ipr_ratio(xi_raw, xi_wav), S=entropy(probs))
+    return ScanRow(K=K, n_q=n_q, xi_raw=ipr(mod),
+                   xi_wavelet=ipr(wavelet.d4_forward_2d(mod).values),
+                   S=entropy(mod * mod))
 
 
 def image_scan_row(amplitudes: np.ndarray, n_q: int, tile_size: int = 0) -> ScanRow:
-    """Wavelet-domain localization of an image amplitude field."""
+    """Wavelet-domain localization of an image amplitude field; S is the
+    entropy of the squared wavelet coefficients."""
     if tile_size:
         coeffs = wavelet.tiled_forward_2d(amplitudes, tile_size)
     else:
         coeffs = wavelet.d4_forward_2d(amplitudes)
-    w = wavelet_weights(coeffs)
-    xi_raw = ipr(np.asarray(amplitudes, dtype=np.float64).reshape(-1) ** 2)
-    xi_wav = ipr(w)
-    return ScanRow(K=0.0, n_q=n_q, xi_raw=xi_raw, xi_wavelet=xi_wav,
-                   R=ipr_ratio(xi_raw, xi_wav), S=entropy(w))
+    c = coeffs.values
+    return ScanRow(K=0.0, n_q=n_q, xi_raw=ipr(amplitudes), xi_wavelet=ipr(c),
+                   S=entropy(c * c))

@@ -29,6 +29,7 @@ import scipy
 
 from . import __version__, analysis, husimi, imageio, measurement, rotator, stdmap, wavelet, wigner
 from .errors import QPhaseError
+from .statevec import check_register
 
 log = logging.getLogger("qphase")
 
@@ -127,7 +128,7 @@ def cmd_wigner(args) -> int:
     _write_manifest(outdir, "wigner",
                     {"K": args.K, "nq": args.nq, "t": args.t},
                     ["wigner.csv", "wigner.pgm"])
-    xi = wigner.wigner_ipr(full)
+    xi = analysis.wigner_ipr(full)
     print(f"sum W        = {grid.total():.12f}")
     print(f"sum W^2      = {grid.total_sq():.12e} (target {1.0 / (2 * grid.N):.12e})")
     print(f"max |W|      = {grid.max_abs():.12e} (bound {1.0 / (2 * grid.N):.12e})")
@@ -149,7 +150,7 @@ def cmd_husimi(args) -> int:
                     {"K": args.K, "nq": args.nq, "t": args.t},
                     ["husimi.csv", "husimi.pgm"])
     print(f"sum |H|^2 = {float(probs.sum()):.12f}")
-    print(f"xi        = {analysis.ipr(probs):.6f}")
+    print(f"xi        = {analysis.ipr(np.abs(grid.H)):.6f}")
     return 0
 
 
@@ -165,13 +166,19 @@ def _scan_rows(args):
         todo = [(0.0, n) for n in range(lo, hi + 1) if n % 2 == 0]
 
         def worker(kn):
-            side = 1 << (kn[1] // 2)
-            image = imageio.synthetic_corpus(side)[args.image]
+            image = imageio.corpus_image(args.image, 1 << (kn[1] // 2))
             amps = imageio.encode_wavefunction(image)
             return analysis.image_scan_row(amps.values, kn[1], args.tile)
     if not todo:
         raise QPhaseError("insufficient-data",
                           f"no usable qubit counts in range {lo}:{hi}")
+    # refuse the largest row by the rows' own register rule before any row runs
+    n_max = todo[-1][1]
+    if args.distribution == "image":
+        side = 1 << (n_max // 2)
+        check_register(n_max, f"a {side}x{side} corpus image")
+    else:
+        rotator.RotatorParams(n_q=n_max, K=args.K)
     with ThreadPoolExecutor(max_workers=min(len(todo), os.cpu_count() or 1)) as pool:
         rows = list(pool.map(worker, todo))
     return sorted(rows, key=lambda r: (r.K, r.n_q))

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import QPhaseError
 from .measurement import grover_iterations
@@ -101,10 +102,9 @@ def gaussian_husimi(state, a: float | None = None) -> np.ndarray:
     N = psi.size
     envelope = _wrapped_envelope(N, 0.0, a)
     amp = 1.0 / np.linalg.norm(envelope)
-    # row n0: envelope rolled to its center, times psi
-    rows = np.empty((N, N), dtype=np.complex128)
-    for n0 in range(N):
-        rows[n0] = np.roll(envelope, n0) * psi
+    # row n0: the envelope moved to its center, doubled[N - n0 : 2N - n0], times psi
+    doubled = np.concatenate([envelope, envelope])
+    rows = sliding_window_view(doubled, N)[N:0:-1] * psi
     # <phi|psi> picks up e^{+ i theta0 n}: an inverse DFT over n per row
     overlaps = np.fft.ifft(rows, axis=1) * N * amp
     return (np.abs(overlaps) ** 2).T

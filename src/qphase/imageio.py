@@ -248,8 +248,8 @@ _CORPUS = {"portrait": _portrait, "texture": _texture, "spots": _spots, "fractal
 CORPUS_NAMES = tuple(_CORPUS)
 
 
-def synthetic_corpus(side: int = 128) -> dict:
-    """Deterministic corpus images as GrayImage, keyed by content class.
+def corpus_image(name: str, side: int = 128) -> GrayImage:
+    """One deterministic corpus image, quantized to 8 bits.
 
     A side above 2048 would be a register above the 22-qubit cap and raises
     `resource` before anything is allocated.
@@ -257,10 +257,11 @@ def synthetic_corpus(side: int = 128) -> dict:
     if side < 8 or side & (side - 1):
         raise QPhaseError("invalid-parameter", f"side must be a power of two >= 8, got {side}")
     check_register(2 * (side.bit_length() - 1), f"a {side}x{side} corpus image")
-    out = {}
-    for name, make in _CORPUS.items():
-        fld = make(side)
-        lo, hi = float(fld.min()), float(fld.max())
-        px = np.rint((fld - lo) / (hi - lo) * 255.0).astype(np.uint8)
-        out[name] = GrayImage(px)
-    return out
+    fld = _CORPUS[name](side)
+    lo, hi = float(fld.min()), float(fld.max())
+    return GrayImage(np.rint((fld - lo) / (hi - lo) * 255.0).astype(np.uint8))
+
+
+def synthetic_corpus(side: int = 128) -> dict:
+    """Every corpus image as GrayImage, keyed by content class."""
+    return {name: corpus_image(name, side) for name in CORPUS_NAMES}

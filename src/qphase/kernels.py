@@ -43,77 +43,73 @@ _ODD = slice(1, None, 2)
 _CHUNK = 1 << 18
 
 
-def _d4_level(e, o, axis, out, scratch):
-    head = _along(e.ndim, axis, slice(None, -1))
-    tail = _along(e.ndim, axis, slice(1, None))
-    last = _along(e.ndim, axis, slice(-1, None))
-    first = _along(e.ndim, axis, slice(0, 1))
-    for (t0, t1, t2, t3), y in zip((D4_H, D4_G), out):
-        np.multiply(e, t0, out=y)
-        np.multiply(o, t1, out=scratch)
+def _d4_level(p, q, axis, taps, step, out, scratch):
+    """y[k] = t0 p[k] + t1 q[k] + t2 p[k+step] + t3 q[k+step], indices
+    wrapped, summed left to right, for each tap row (t0, t1, t2, t3) and
+    output y. A shifted term is one product moved by one sample plus its one
+    wrapped edge element."""
+    head = _along(p.ndim, axis, slice(None, -1))
+    tail = _along(p.ndim, axis, slice(1, None))
+    last = _along(p.ndim, axis, slice(-1, None))
+    first = _along(p.ndim, axis, slice(0, 1))
+    # (destination, source) index pairs of y[k] += scratch[k + step]
+    shift = ((head, tail), (last, first)) if step > 0 else ((tail, head), (first, last))
+    for (t0, t1, t2, t3), y in zip(taps, out):
+        np.multiply(p, t0, out=y)
+        np.multiply(q, t1, out=scratch)
         y += scratch
-        for tap, samples in ((t2, e), (t3, o)):
+        for tap, samples in ((t2, p), (t3, q)):
             np.multiply(samples, tap, out=scratch)
-            y[head] += scratch[tail]
-            y[last] += scratch[first]
+            for dst, src in shift:
+                y[dst] += scratch[src]
 
 
-def d4_analyze(x: np.ndarray, axis: int = -1, out=None):
-    """One analysis level along `axis`; returns (approx, detail).
-
-    Polyphase form: with even samples e and odd samples o, coefficient k is
-    h0 e[k] + h1 o[k] + h2 e[k+1] + h3 o[k+1], indices wrapped. out, when
-    given, is a pair of arrays of the half-length shape to write into; they
-    must not overlap x.
-
-    Each output is built as y = t0 e, y += t1 o, y += t2 e1, y += t3 o1, the
-    left-to-right order of the sum above, so the bits equal those of the
-    plain expression (a regrouped sum rounds differently). The wrapped terms
-    e1 = e[k+1] and o1 = o[k+1] come from one product shifted by one sample
-    plus its one wrapped edge element. One scratch buffer holds every
-    product; on 2D and higher input it covers one chunk of the first other
-    axis at a time.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    axis %= x.ndim
-    e = x[_along(x.ndim, axis, _EVEN)]
-    o = x[_along(x.ndim, axis, _ODD)]
-    if out is None:
-        out = (np.empty(e.shape), np.empty(e.shape))
-    if e.ndim == 1:
+def _stencil(p, q, axis, taps, step, out):
+    # one scratch buffer holds every product; on 2D and higher input it
+    # covers one chunk of the first other axis at a time
+    if p.ndim == 1:
         parts = [()]
     else:
         batch = 1 if axis == 0 else 0
-        step = max(1, _CHUNK * e.shape[batch] // e.size)
-        parts = [_along(e.ndim, batch, slice(i, i + step))
-                 for i in range(0, e.shape[batch], step)]
-    scratch = np.empty(e[parts[0]].shape)
+        rows = max(1, _CHUNK * p.shape[batch] // p.size)
+        parts = [_along(p.ndim, batch, slice(i, i + rows))
+                 for i in range(0, p.shape[batch], rows)]
+    scratch = np.empty(p[parts[0]].shape)
     for part in parts:
-        chunk = e[part]
-        _d4_level(chunk, o[part], axis, (out[0][part], out[1][part]),
+        chunk = p[part]
+        _d4_level(chunk, q[part], axis, taps, step, [y[part] for y in out],
                   scratch[tuple(map(slice, chunk.shape))])
+
+
+def d4_analyze(x: np.ndarray, out, axis: int = -1):
+    """One analysis level along `axis`, written into out = (approx, detail).
+
+    Polyphase form: with even samples e and odd samples o, coefficient k is
+    h0 e[k] + h1 o[k] + h2 e[k+1] + h3 o[k+1], indices wrapped. The outputs
+    have the half-length shape and must not overlap x. The sum is taken left
+    to right, so the bits equal those of the plain expression (a regrouped
+    sum rounds differently).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    axis %= x.ndim
+    _stencil(x[_along(x.ndim, axis, _EVEN)], x[_along(x.ndim, axis, _ODD)],
+             axis, (D4_H, D4_G), 1, out)
     return out
 
 
-def d4_synthesize(a: np.ndarray, d: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Exact inverse of d4_analyze along `axis`.
+def d4_synthesize(a: np.ndarray, d: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Exact inverse of d4_analyze along `axis`, written into out.
 
     Sample 2k is h0 a[k] + g0 d[k] + h2 a[k-1] + g2 d[k-1], sample 2k+1 the
-    same with taps 1 and 3, indices wrapped.
+    same with taps 1 and 3, indices wrapped and summed left to right. out
+    has twice the length of a along axis and must not overlap a or d.
     """
-    a = np.asarray(a, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    a1 = np.roll(a, 1, axis=axis)
-    d1 = np.roll(d, 1, axis=axis)
+    axis %= a.ndim
     h0, h1, h2, h3 = D4_H
     g0, g1, g2, g3 = D4_G
-    shape = list(a.shape)
-    shape[axis] *= 2
-    x = np.empty(shape)
-    # (current pair) + (previous pair): a regrouped sum rounds differently
-    x[_along(x.ndim, axis, _EVEN)] = (h0 * a + g0 * d) + (h2 * a1 + g2 * d1)
-    x[_along(x.ndim, axis, _ODD)] = (h1 * a + g1 * d) + (h3 * a1 + g3 * d1)
-    return x
+    _stencil(a, d, axis, ((h0, g0, h2, g2), (h1, g1, h3, g3)), -1,
+             (out[_along(out.ndim, axis, _EVEN)], out[_along(out.ndim, axis, _ODD)]))
+    return out
 
 
 TWO_PI = 2.0 * math.pi

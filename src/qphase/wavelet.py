@@ -6,7 +6,7 @@ Coefficient layout is the standard in-place pyramid: after each level the
 approximation occupies the leading half of the active block and the detail
 the trailing half; 2D levels transform rows then columns of the shrinking
 top-left block. Full depth (approximation band of 4 samples in 1D, 4x4 in 2D)
-is the default. All three variants run one forward and one inverse pyramid;
+is the default. All three variants, in both directions, run one pyramid loop;
 a tiled field runs it on a 4D view of itself, every tile at once.
 """
 
@@ -61,41 +61,36 @@ def _active(arr: np.ndarray, axes, n: int) -> np.ndarray:
     return arr[tuple(index)]
 
 
-def _forward_pyramid(out: np.ndarray, axes, levels: int) -> np.ndarray:
-    """Analyze `levels` levels of out in place, along each of axes in turn.
+def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
+    """Run `levels` levels of out in place, along each of axes in turn.
 
     Every axis in axes has the same length; any other axis is a batch axis,
     so a (side/t, t, side/t, t) view with axes (3, 1) moves all tiles at once.
-    One workspace of out's shape is allocated once: each pass along an axis
-    writes the active block from one array into the other, so with two axes
-    a level ends back in out and only an odd axis count needs a copy back.
+    The forward direction analyzes from the whole block down; the inverse
+    synthesizes from the smallest block up, along the axes in reverse order,
+    so it undoes the forward run exactly. One workspace of out's shape is
+    allocated once: each pass along an axis writes the active block from one
+    array into the other, so with two axes a level ends back in out and only
+    an odd axis count needs a copy back.
     """
     work = np.empty_like(out)
-    n = out.shape[axes[0]]
-    for _ in range(levels):
+    sizes = [out.shape[axes[0]] >> i for i in range(levels)]
+    if not forward:
+        sizes.reverse()
+        axes = axes[::-1]
+    for n in sizes:
         block = _active(out, axes, n)
         src, dst = block, _active(work, axes, n)
         for ax in axes:
-            kernels.d4_analyze(src, axis=ax, out=(
-                dst[kernels._along(dst.ndim, ax, slice(0, n // 2))],
-                dst[kernels._along(dst.ndim, ax, slice(n // 2, n))]))
+            low = kernels._along(block.ndim, ax, slice(0, n // 2))
+            high = kernels._along(block.ndim, ax, slice(n // 2, n))
+            if forward:
+                kernels.d4_analyze(src, (dst[low], dst[high]), axis=ax)
+            else:
+                kernels.d4_synthesize(src[low], src[high], dst, axis=ax)
             src, dst = dst, src
         if src is not block:
             block[...] = src
-        n //= 2
-    return out
-
-
-def _inverse_pyramid(out: np.ndarray, axes, levels: int) -> np.ndarray:
-    """Exact inverse of _forward_pyramid(out, axes, levels), in place."""
-    n = out.shape[axes[0]] >> (levels - 1)
-    for _ in range(levels):
-        block = _active(out, axes, n)
-        for ax in reversed(axes):
-            block[...] = kernels.d4_synthesize(
-                block[kernels._along(block.ndim, ax, slice(0, n // 2))],
-                block[kernels._along(block.ndim, ax, slice(n // 2, n))], axis=ax)
-        n *= 2
     return out
 
 
@@ -104,7 +99,7 @@ def d4_forward_1d(signal, levels: int | None = None) -> WaveletCoeffs:
     if x.ndim != 1 or x.size < 4:
         raise QPhaseError("invalid-dimension", f"signal must be 1D of length >= 4, got shape {x.shape}")
     levels = _check_levels(x.size, levels, "signal length")
-    return WaveletCoeffs(_forward_pyramid(x.copy(), (0,), levels), levels)
+    return WaveletCoeffs(_pyramid(x.copy(), (0,), levels, True), levels)
 
 
 def d4_inverse_1d(coeffs: WaveletCoeffs) -> np.ndarray:
@@ -112,7 +107,7 @@ def d4_inverse_1d(coeffs: WaveletCoeffs) -> np.ndarray:
     if out.ndim != 1:
         raise QPhaseError("invalid-dimension", f"expected 1D coefficients, got shape {out.shape}")
     _check_levels(out.size, coeffs.levels, "signal length")
-    return _inverse_pyramid(out, (0,), coeffs.levels)
+    return _pyramid(out, (0,), coeffs.levels, False)
 
 
 def _check_square(field, what: str) -> np.ndarray:
@@ -127,13 +122,13 @@ def _check_square(field, what: str) -> np.ndarray:
 def d4_forward_2d(field, levels: int | None = None) -> WaveletCoeffs:
     grid = _check_square(field, "field")
     levels = _check_levels(grid.shape[0], levels, "field side")
-    return WaveletCoeffs(_forward_pyramid(grid.copy(), (1, 0), levels), levels)
+    return WaveletCoeffs(_pyramid(grid.copy(), (1, 0), levels, True), levels)
 
 
 def d4_inverse_2d(coeffs: WaveletCoeffs) -> np.ndarray:
     out = _check_square(coeffs.values, "coefficients").copy()
     _check_levels(out.shape[0], coeffs.levels, "field side")
-    return _inverse_pyramid(out, (1, 0), coeffs.levels)
+    return _pyramid(out, (1, 0), coeffs.levels, False)
 
 
 def _tiles(grid: np.ndarray, tile: int) -> np.ndarray:
@@ -152,7 +147,7 @@ def tiled_forward_2d(field, tile_size: int) -> WaveletCoeffs:
                           f"tile_size {tile_size} must be >= 4 and divide the side {side}")
     levels = _check_levels(tile_size, None, "field side")
     out = grid.copy()
-    _forward_pyramid(_tiles(out, tile_size), (3, 1), levels)
+    _pyramid(_tiles(out, tile_size), (3, 1), levels, True)
     return WaveletCoeffs(out, levels, tile_size=tile_size)
 
 
@@ -164,7 +159,7 @@ def tiled_inverse_2d(coeffs: WaveletCoeffs) -> np.ndarray:
         raise QPhaseError("invalid-dimension", f"tile_size {tile} does not divide the side {side}")
     _check_levels(tile, coeffs.levels, "field side")
     out = grid.copy()
-    _inverse_pyramid(_tiles(out, tile), (3, 1), coeffs.levels)
+    _pyramid(_tiles(out, tile), (3, 1), coeffs.levels, False)
     return out
 
 

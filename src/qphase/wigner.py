@@ -49,10 +49,6 @@ from .errors import QPhaseError
 from .statevec import as_state, check_register, partial_qft_blocks, qft
 
 
-# samples per block of the fourth-power sum in wigner_ipr
-_IPR_BLOCK = 1 << 16
-
-
 @dataclass
 class WignerGrid:
     """W(Theta, n) on the whole (2N, 2N) doubled grid.
@@ -171,27 +167,3 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int):
     ext = float(np.max(np.abs(W[:, N:] - _row_signs(N) * W[:, :N])))
     grid = WignerGrid(values=W, N=N, imag_residue=residue, extension_residue=ext)
     return grid, final_state
-
-
-def wigner_ipr(values) -> float:
-    """xi = 1 / (N^2 sum W^4) over the whole (2N, 2N) grid.
-
-    values is a grid's `values`, or the same grid in any orthonormal basis,
-    such as its D4 coefficients. The fourth power, not the second, since W
-    itself plays the role of a signed weight on the doubled grid. The fourth
-    powers are taken as squared squares, in blocks of one reused buffer, so
-    no grid-sized temporary is made.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    flat = v.reshape(-1)
-    buf = np.empty(min(flat.size, _IPR_BLOCK))
-    fourth = 0.0
-    for start in range(0, flat.size, _IPR_BLOCK):
-        chunk = flat[start:start + _IPR_BLOCK]
-        s = buf[:chunk.size]
-        np.multiply(chunk, chunk, out=s)
-        s *= s
-        fourth += float(np.sum(s))
-    if fourth == 0.0:
-        raise QPhaseError("degenerate-input", "all-zero grid has no participation ratio")
-    return 1.0 / ((v.shape[0] // 2) ** 2 * fourth)

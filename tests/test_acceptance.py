@@ -107,7 +107,7 @@ def test_criterion_4_wigner_ipr_scaling():
     def fit(xis):
         return analysis.fit_scaling(zip(sizes, xis))
 
-    raw_05 = fit([np.mean([wigner.wigner_ipr(wigner.wigner_from_momentum(
+    raw_05 = fit([np.mean([analysis.wigner_ipr(wigner.wigner_from_momentum(
                                evolved_band(n, 0.5, t)).values) for t in kicks])
                   for n in sizes])
     rows_2 = [[wigner_row(2.0, n, t) for t in kicks] for n in sizes]
@@ -230,13 +230,12 @@ def test_criterion_10_entropy_ipr_consistency():
     for _ in range(1000):
         size = int(rng.choice([16, 64, 256, 1024]))
         w = rng.uniform(0.0, 1.0, size=size) ** int(rng.integers(1, 5))
-        xi, bound = analysis.ipr_entropy_compare(w / w.sum())
-        worst = max(worst, xi - bound)
+        p = w / w.sum()
+        worst = max(worst, analysis.ipr(np.sqrt(p)) - 2.0 ** analysis.entropy(p))
     for img in corpus128().values():
         amps = imageio.encode_wavefunction(img).values
-        w = analysis.wavelet_weights(wavelet.d4_forward_2d(amps))
-        xi, bound = analysis.ipr_entropy_compare(w)
-        worst = max(worst, xi - bound)
+        c = wavelet.d4_forward_2d(amps).values
+        worst = max(worst, analysis.ipr(c) - 2.0 ** analysis.entropy(c * c))
     bound_ok = worst < 1e-9
     # slope agreement on the image scans
     worst_gap = 0.0

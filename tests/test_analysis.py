@@ -22,11 +22,32 @@ def test_ipr_scale_invariance_is_exact():
 
 def test_ipr_validation():
     with pytest.raises(QPhaseError) as err:
-        analysis.ipr([-0.1, 1.1])
-    assert err.value.category == "invalid-parameter"
-    with pytest.raises(QPhaseError) as err:
         analysis.ipr(np.zeros(4))
     assert err.value.category == "degenerate-input"
+
+
+def test_ipr_ignores_the_sign_of_each_amplitude():
+    rng = np.random.default_rng(37)
+    a = rng.normal(size=300)
+    assert analysis.ipr(-a) == analysis.ipr(a)
+    assert analysis.ipr(a) == analysis.ipr(np.abs(a))
+
+
+def test_ipr_matches_the_plain_sums_across_blocks():
+    # more than one 2^16-sample block, so the block sums are chained
+    rng = np.random.default_rng(36)
+    a = rng.normal(size=(300, 700))
+    plain = np.sum(a ** 2) ** 2 / np.sum(a ** 4)
+    assert analysis.ipr(a) == pytest.approx(plain, rel=1e-13, abs=0.0)
+
+
+def test_wigner_ipr_is_four_times_ipr_under_the_sum_rule():
+    # on a grid with sum W^2 = 1/(2N) the fixed normalization equals 4 ipr
+    rng = np.random.default_rng(35)
+    N = 32
+    values = rng.normal(size=(2 * N, 2 * N))
+    values /= np.sqrt(2 * N * np.sum(values ** 2))
+    assert analysis.wigner_ipr(values) == pytest.approx(4 * analysis.ipr(values), rel=1e-13)
 
 
 def test_entropy_examples():
@@ -58,13 +79,6 @@ def test_entropy_permutation_invariant_and_maximal_at_uniform():
     w /= w.sum()
     assert analysis.entropy(rng.permutation(w)) == pytest.approx(analysis.entropy(w), abs=1e-12)
     assert analysis.entropy(w) <= np.log2(64) + 1e-12
-
-
-def test_ipr_ratio():
-    assert analysis.ipr_ratio(5.0, 5.0) == 1.0
-    with pytest.raises(QPhaseError) as err:
-        analysis.ipr_ratio(1.0, 0.0)
-    assert err.value.category == "degenerate-input"
 
 
 def test_fit_recovers_exact_power_laws():
@@ -124,38 +138,31 @@ def test_participation_never_exceeds_entropy_bound():
         size = int(rng.choice([16, 64, 256]))
         w = rng.uniform(0.0, 1.0, size=size) ** int(rng.integers(1, 4))
         w /= w.sum()
-        xi, bound = analysis.ipr_entropy_compare(w)
-        assert xi <= bound + 1e-9
+        assert analysis.ipr(np.sqrt(w)) <= 2.0 ** analysis.entropy(w) + 1e-9
 
 
 def test_compare_on_uniform_weights():
-    xi, bound = analysis.ipr_entropy_compare(np.full(128, 1 / 128))
-    assert xi == pytest.approx(128.0)
-    assert bound == pytest.approx(128.0)
-
-
-def test_wavelet_weights_are_squared_coefficients():
-    rng = np.random.default_rng(41)
-    coeffs = wavelet.d4_forward_1d(rng.normal(size=32))
-    w = analysis.wavelet_weights(coeffs)
-    assert np.array_equal(w, coeffs.values ** 2)
+    w = np.full(128, 1 / 128)
+    assert analysis.ipr(np.sqrt(w)) == pytest.approx(128.0)
+    assert 2.0 ** analysis.entropy(w) == pytest.approx(128.0)
 
 
 def test_scan_row_csv_format():
-    row = analysis.ScanRow(K=0.5, n_q=7, xi_raw=123.456, xi_wavelet=7.0, R=17.6, S=9.9)
+    row = analysis.ScanRow(K=0.5, n_q=7, xi_raw=123.456, xi_wavelet=7.0, S=9.9)
     text = row.csv()
     fields = text.split(",")
     assert len(fields) == 6
     assert float(fields[0]) == 0.5 and int(fields[1]) == 7
     # 17-digit fields survive a float round-trip exactly
     assert float(fields[2]) == 123.456
+    assert float(fields[4]) == row.R and float(fields[5]) == 9.9
 
 
 def test_wigner_scan_row_contents():
     row = analysis.wigner_scan_row(0.5, 5, t=10)
     assert row.K == 0.5 and row.n_q == 5
     assert row.xi_raw > 0 and row.xi_wavelet > 0
-    assert row.R == pytest.approx(row.xi_raw / row.xi_wavelet)
+    assert row.R == row.xi_raw / row.xi_wavelet
 
 
 def test_wigner_scan_row_entropy_matches_whole_grid():
@@ -193,9 +200,9 @@ def test_image_scan_row_uses_wavelet_entropy():
     field /= np.linalg.norm(field)
     row = analysis.image_scan_row(field, 8)
     assert row.K == 0.0 and row.n_q == 8
-    assert row.R == pytest.approx(row.xi_raw / row.xi_wavelet)
-    weights = analysis.wavelet_weights(wavelet.d4_forward_2d(field))
-    assert row.S == analysis.entropy(weights)
+    assert row.R == row.xi_raw / row.xi_wavelet
+    c = wavelet.d4_forward_2d(field).values
+    assert row.S == analysis.entropy(c * c)
     # the raw field's entropy differs, so the assertion tells the two apart
     assert row.S != analysis.entropy(field.reshape(-1) ** 2)
 

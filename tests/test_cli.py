@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,24 @@ def test_rotator_scan_needs_kick_strength_and_count(tmp_path):
 def test_scan_image_above_register_cap_is_a_resource_error(tmp_path):
     out = tmp_path / "big"
     assert main(["scan", "image", "--fit-range", "100:104", "--out", str(out)]) == 3
+    assert not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("distribution, fit_range", [
+    ("image", "16:24"), ("husimi", "18:24"), ("wigner", "20:23")])
+def test_scan_refuses_a_range_above_the_cap_before_any_row(tmp_path, monkeypatch,
+                                                           distribution, fit_range):
+    computed = []
+    for name in ("wigner_scan_row", "husimi_scan_row", "image_scan_row"):
+        monkeypatch.setattr(analysis, name, lambda *args: computed.append(args))
+    monkeypatch.setattr(imageio, "corpus_image", lambda *args: computed.append(args))
+    out = tmp_path / "big"
+    start = time.monotonic()
+    code = main(["scan", distribution, "--K", "1", "--t", "1", "--fit-range", fit_range,
+                 "--out", str(out)])
+    assert code == 3
+    assert time.monotonic() - start < 1.0
+    assert computed == []
     assert not (out / "scan.csv").exists()
 
 

@@ -217,6 +217,12 @@ def test_corpus_shapes_and_determinism():
         assert np.array_equal(corpus[key].pixels, again[key].pixels)
 
 
+def test_corpus_image_is_the_corpus_entry():
+    corpus = imageio.synthetic_corpus(32)
+    for name in imageio.CORPUS_NAMES:
+        assert np.array_equal(imageio.corpus_image(name, 32).pixels, corpus[name].pixels)
+
+
 def test_corpus_side_validation():
     for bad in (4, 48):
         with pytest.raises(QPhaseError) as err:
@@ -226,6 +232,9 @@ def test_corpus_side_validation():
     for big in (1 << 12, 1 << 50):
         with pytest.raises(QPhaseError) as err:
             imageio.synthetic_corpus(big)
+        assert err.value.category == "resource"
+        with pytest.raises(QPhaseError) as err:
+            imageio.corpus_image("spots", big)
         assert err.value.category == "resource"
 
 

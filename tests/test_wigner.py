@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qphase import rotator, wavelet, wigner
+from qphase import analysis, rotator, wavelet, wigner
 from qphase.errors import QPhaseError
 
 
@@ -146,15 +146,15 @@ def test_ipr_on_synthetic_grids():
     N = 16
     values = np.zeros((2 * N, 2 * N))
     values.flat[:N] = 1.0 / N
-    assert wigner.wigner_ipr(values) == pytest.approx(N)
+    assert analysis.wigner_ipr(values) == pytest.approx(N)
     values = np.zeros((2 * N, 2 * N))
     values.flat[: N * N] = N ** -1.5
-    assert wigner.wigner_ipr(values) == pytest.approx(N * N)
+    assert analysis.wigner_ipr(values) == pytest.approx(N * N)
 
 
 def test_ipr_rejects_zero_grid():
     with pytest.raises(QPhaseError) as err:
-        wigner.wigner_ipr(np.zeros((8, 8)))
+        analysis.wigner_ipr(np.zeros((8, 8)))
     assert err.value.category == "degenerate-input"
 
 
@@ -193,5 +193,5 @@ def test_property_whole_grid_sum_rules_sign_rule_and_ipr(psi):
     assert grid.max_abs() <= 1.0 / (2 * N) + 1e-12
     signs = np.where(np.arange(2 * N) % 2 == 0, 1.0, -1.0)[:, None]
     assert np.array_equal(values[:, N:], signs * values[:, :N])
-    assert wigner.wigner_ipr(values) == pytest.approx(
+    assert analysis.wigner_ipr(values) == pytest.approx(
         1.0 / (N ** 2 * np.sum(values ** 4)), rel=1e-12, abs=0.0)
