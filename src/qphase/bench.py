@@ -3,12 +3,13 @@
 Run as `python -m qphase.bench`. Reports the median of three passes for the
 kicked-rotator evolution at n_q = 16, with its minor page faults per kick
 where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11,
-the 2D wavelet pyramid and the classical map's `kernels.stdmap_advance`.
-Every kernel has one numpy path.
+the 2D wavelet pyramid, the classical map's `kernels.stdmap_advance` and the
+CSV grid dump of a 1024x1024 grid into memory. Every kernel has one numpy path.
 """
 
 from __future__ import annotations
 
+import io
 import time
 
 import numpy as np
@@ -79,6 +80,16 @@ def _stdmap_case():
     return run
 
 
+def _csv_case():
+    grid = _rng(3).standard_normal((1024, 1024))
+
+    def run():
+        from . import imageio
+        imageio.write_grid_csv(grid, io.StringIO())
+
+    return run
+
+
 def main() -> None:
     kicks = 200
     evolve_case = _evolve_case(kicks)
@@ -92,7 +103,8 @@ def main() -> None:
     print(line)
     for label, case in (("wigner_direct n_q=11", _wigner_case()),
                         ("d4_forward_2d 1024x1024", _wavelet_case()),
-                        ("stdmap 1e6 points x 100 steps", _stdmap_case())):
+                        ("stdmap 1e6 points x 100 steps", _stdmap_case()),
+                        ("write_grid_csv 1024x1024", _csv_case())):
         case()
         print(f"{label:32s}  numpy: {_median_time(case):8.4f}s")
 

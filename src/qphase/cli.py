@@ -76,11 +76,17 @@ def _outdir(args) -> Path:
     return out
 
 
+def _sha256(path: Path) -> str:
+    # 1 MiB blocks: a grid dump never sits in memory whole
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _write_manifest(outdir: Path, command: str, params: dict, files) -> None:
-    checksums = {}
-    for name in sorted(files):
-        digest = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
-        checksums[name] = digest
+    checksums = {name: _sha256(outdir / name) for name in sorted(files)}
     manifest = {
         "command": command,
         "parameters": params,

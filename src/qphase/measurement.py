@@ -184,9 +184,12 @@ def amplitude_amplify(state, region, iterations="auto") -> AmplifyReport:
         if count < 0:
             raise QPhaseError("invalid-parameter", f"iterations must be >= 0, got {iterations}")
     psi = psi0.copy()
+    # in place, with one scratch vector: no register-sized allocation per iteration
+    reflected = np.empty_like(psi)
     for _ in range(count):
         psi[mask] *= -1.0
-        psi = psi - 2.0 * np.vdot(psi0, psi) * psi0
+        np.multiply(2.0 * np.vdot(psi0, psi), psi0, out=reflected)
+        psi -= reflected
     final = float(np.sum(np.abs(psi[mask]) ** 2))
     return AmplifyReport(iterations=count, initial_weight=weight,
                          final_weight=final, state=psi)

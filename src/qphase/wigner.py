@@ -155,13 +155,20 @@ def wigner_register_pipeline(psi0, params: rotator.RotatorParams, t: int):
     T1 = np.zeros((2 * N, N), dtype=np.complex128)
     T1[np.add.outer(m, m), m[None, :]] = np.outer(a, b)
     T2 = partial_qft_blocks(T1.reshape(-1), N, "inverse").reshape(2 * N, N)  # second-register QFT
-    T3 = np.concatenate([T2, T2], axis=1) / np.sqrt(2.0)  # duplication split
+    del T1
+    T2 /= np.sqrt(2.0)  # duplication split: each (2N, N) half of the final state gets T2
+    # phase correction, one half at a time: n runs over [0, N), then [N, 2N);
+    # the phase is the left operand, since complex products are not bitwise
+    # commutative
+    final = np.empty((2 * N, 2 * N), dtype=np.complex128)
     Theta = np.arange(2 * N, dtype=np.float64)[:, None]
-    n_full = np.arange(2 * N, dtype=np.float64)[None, :]
-    T3 = T3 * np.exp(-1j * np.pi * Theta * n_full / N)   # phase correction
+    for h in (0, N):
+        n_half = np.arange(h, h + N, dtype=np.float64)[None, :]
+        np.multiply(np.exp(-1j * np.pi * Theta * n_half / N), T2, out=final[:, h:h + N])
+    del T2
 
-    final_state = T3.reshape(-1)
-    W = T3 / np.sqrt(2.0 * N)
+    final_state = final.reshape(-1)
+    W = final / np.sqrt(2.0 * N)
     residue = float(np.max(np.abs(W.imag)))
     W = W.real.copy()
     ext = float(np.max(np.abs(W[:, N:] - _row_signs(N) * W[:, :N])))

@@ -147,3 +147,10 @@ def periodic_gaussian_smooth(full: np.ndarray, sigma: float) -> np.ndarray:
     for s, w in zip(shifts, weights):
         out += w * np.roll(rows, s, axis=1)
     return out
+
+
+def grid_csv_reference(grid) -> str:
+    # the grid dump one f-string per value, as written before the row template
+    v = np.asarray(grid, dtype=np.float64)
+    return "row,col,value\n" + "".join(
+        f"{r},{c},{x:.17g}\n" for r in range(v.shape[0]) for c, x in enumerate(v[r].tolist()))

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qphase import analysis, cli, imageio, stdmap
+import oracles
+from qphase import analysis, cli, husimi, imageio, rotator, stdmap, wigner
 from qphase.cli import main
 
 
@@ -39,6 +40,23 @@ def test_wigner_command(tmp_path, capsys):
     assert "numpy" in manifest["versions"]
 
 
+def test_wigner_csv_bytes_match_per_value_formatting(tmp_path):
+    out = tmp_path / "w"
+    assert main(["wigner", "--nq", "5", "--K", "2", "--t", "10", "--out", str(out)]) == 0
+    params = rotator.RotatorParams(n_q=5, K=2.0)
+    psi = rotator.evolve(rotator.initial_band_state(params), params, 10)
+    expect = oracles.grid_csv_reference(wigner.wigner_from_momentum(psi).values)
+    assert (out / "wigner.csv").read_bytes() == expect.encode("ascii")
+    read_manifest(out)
+
+
+def test_manifest_digest_spans_blocks(tmp_path):
+    # three 1 MiB blocks and a partial one
+    data = np.random.default_rng(0).bytes(3 * (1 << 20) + 12345)
+    (tmp_path / "blob").write_bytes(data)
+    assert cli._sha256(tmp_path / "blob") == hashlib.sha256(data).hexdigest()
+
+
 def test_husimi_command_matches_library(tmp_path, capsys):
     out = tmp_path / "h"
     assert main(["husimi", "--K", "2", "--nq", "4", "--t", "3", "--out", str(out)]) == 0
@@ -48,7 +66,6 @@ def test_husimi_command_matches_library(tmp_path, capsys):
     for ln in lines[1:]:
         r, c, v = ln.split(",")
         got[int(r), int(c)] = float(v)
-    from qphase import husimi, rotator
     params = rotator.RotatorParams(n_q=4, K=2.0)
     psi = rotator.evolve(rotator.initial_band_state(params), params, 3)
     expect = husimi.modified_husimi(psi).probabilities

@@ -4,9 +4,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from qphase import imageio
 from qphase.errors import ParseError, QPhaseError
 
@@ -205,6 +207,13 @@ def test_grid_csv_format_and_precision():
     assert float(v) == 1.0 / 3.0  # 17 significant digits round-trip
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_grid_csv_needs_a_2d_grid(shape):
+    with pytest.raises(QPhaseError) as exc:
+        imageio.write_grid_csv(np.zeros(shape), io.StringIO())
+    assert exc.value.category == "invalid-dimension"
+
+
 def test_corpus_shapes_and_determinism():
     corpus = imageio.synthetic_corpus(64)
     assert sorted(corpus) == ["fractal", "portrait", "spots", "texture"]
@@ -289,3 +298,27 @@ def test_property_arbitrary_bytes_load_or_raise_parse_error(pgm_path, data):
 @given(st.one_of(_mutated(P2_FIXTURE), _mutated(P5_FIXTURE)))
 def test_property_mutated_files_load_or_raise_parse_error(pgm_path, data):
     _loads_or_parse_error(pgm_path, data)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+                1.0 / 3.0, -5.5, 1e16, 1e17, 1e-300)
+_CSV_VALUES = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+
+
+def _edge_grid(shape):
+    size = int(np.prod(shape))
+    return np.resize(np.array(_EDGE_FLOATS), size).reshape(shape)
+
+
+@_PROPERTY
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+                  elements=_CSV_VALUES))
+@example(_edge_grid((1, 15)))
+@example(_edge_grid((15, 1)))
+@example(_edge_grid((3, 0)))
+@example(_edge_grid((0, 3)))
+def test_property_grid_csv_matches_per_value_formatting(grid):
+    buf = io.StringIO()
+    imageio.write_grid_csv(grid, buf)
+    assert buf.getvalue() == oracles.grid_csv_reference(grid)
