@@ -10,12 +10,8 @@ import numpy as np
 from scipy import special
 
 from . import husimi as husimi_mod
-from . import rotator, wavelet, wigner
+from . import kernels, rotator, wavelet, wigner
 from .errors import QPhaseError
-
-# samples per block of the power sums in _square_sums
-_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -61,31 +57,11 @@ class ScanRow:
                 f"{self.xi_wavelet:.17g},{self.R:.17g},{self.S:.17g}")
 
 
-def _square_sums(values) -> tuple:
-    """(sum v^2, sum v^4) over every entry of values.
-
-    The squares are taken in blocks of one reused buffer and squared again
-    in place, so no field-sized temporary is made; the block sums are added
-    in sequence.
-    """
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    buf = np.empty(min(flat.size, _BLOCK))
-    second = fourth = 0.0
-    for start in range(0, flat.size, _BLOCK):
-        chunk = flat[start:start + _BLOCK]
-        s = buf[:chunk.size]
-        np.multiply(chunk, chunk, out=s)
-        second += float(np.sum(s))
-        s *= s
-        fourth += float(np.sum(s))
-    return second, fourth
-
-
 def ipr(amplitudes) -> float:
     """Participation ratio xi = (sum a^2)^2 / sum a^4 of a real amplitude
     field, such as |H|, image amplitudes or D4 coefficients; the sign of
     each amplitude does not matter, and xi is scale-invariant."""
-    second, fourth = _square_sums(amplitudes)
+    second, fourth = kernels.square_sums(amplitudes)
     if fourth == 0.0:
         raise QPhaseError("degenerate-input", "all amplitudes are zero")
     return second * second / fourth
@@ -100,7 +76,7 @@ def wigner_ipr(values) -> float:
     1/N^2 rather than taken from the grid's own sum of squares.
     """
     v = np.asarray(values, dtype=np.float64)
-    fourth = _square_sums(v)[1]
+    fourth = kernels.square_sums(v)[1]
     if fourth == 0.0:
         raise QPhaseError("degenerate-input", "all-zero grid has no participation ratio")
     return 1.0 / ((v.shape[0] // 2) ** 2 * fourth)
@@ -165,13 +141,15 @@ def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     psi = rotator.evolve(rotator.initial_band_state(params), params, t)
     grid = wigner.wigner_from_momentum(psi)
     full = grid.values
-    xi_raw = wigner_ipr(full)
-    xi_wav = wigner_ipr(wavelet.d4_forward_2d(full).values)
     left = full[:, :grid.N]
     weights = np.multiply(left, left)
     weights *= 4 * grid.N
-    return ScanRow(K=K, n_q=n_q, xi_raw=xi_raw, xi_wavelet=xi_wav,
-                   S=entropy(weights) + 1.0)
+    S = entropy(weights) + 1.0
+    # freed before the transform, so the row holds at most the grid and
+    # one more grid-sized array at a time
+    del weights
+    return ScanRow(K=K, n_q=n_q, xi_raw=wigner_ipr(full),
+                   xi_wavelet=wigner_ipr(wavelet.d4_forward_2d(full).values), S=S)
 
 
 def husimi_scan_row(K: float, n_q: int, t: int) -> ScanRow:

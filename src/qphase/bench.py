@@ -3,14 +3,18 @@
 Run as `python -m qphase.bench`. Reports the median of three passes for the
 kicked-rotator evolution at n_q = 16, with its minor page faults per kick
 where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11,
-the 2D wavelet pyramid, the classical map's `kernels.stdmap_advance` and the
-CSV grid dump of a 1024x1024 grid into memory. Every kernel has one numpy path.
+the 2D wavelet pyramid, a whole Wigner scan row at n_q = 11, the classical
+map's `kernels.stdmap_advance` and the CSV grid dump of a 1024x1024 grid into
+memory. The pyramid and the scan row also report their tracemalloc peak in
+one more, untimed pass, as a multiple of the field or grid they work on.
+Every kernel has one numpy path.
 """
 
 from __future__ import annotations
 
 import io
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -40,6 +44,23 @@ def _wavelet_case():
         wavelet.d4_forward_2d(field)
 
     return run
+
+
+def _scan_row_case():
+    def run():
+        from . import analysis
+        analysis.wigner_scan_row(2.0, 11, 1000)
+
+    return run
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _wigner_case():
@@ -95,18 +116,25 @@ def main() -> None:
     evolve_case = _evolve_case(kicks)
     evolve_case()
     label = f"rotator.evolve n_q=16 t={kicks}"
-    line = f"{label:32s}  numpy: {_median_time(evolve_case):8.4f}s"
+    line = f"{label:34s}  numpy: {_median_time(evolve_case):8.4f}s"
     if resource is not None:
         before = _minor_faults()
         evolve_case()
         line += f"  minor faults/kick: {(_minor_faults() - before) / kicks:.1f}"
     print(line)
-    for label, case in (("wigner_direct n_q=11", _wigner_case()),
-                        ("d4_forward_2d 1024x1024", _wavelet_case()),
-                        ("stdmap 1e6 points x 100 steps", _stdmap_case()),
-                        ("write_grid_csv 1024x1024", _csv_case())):
+    # (label, case, (bytes, name) of the array its peak is measured against)
+    for label, case, unit in (
+            ("wigner_direct n_q=11", _wigner_case(), None),
+            ("d4_forward_2d 1024x1024", _wavelet_case(), (1024 * 1024 * 8, "field")),
+            ("wigner_scan_row K=2 n_q=11 t=1000", _scan_row_case(), (4096 * 4096 * 8, "grid")),
+            ("stdmap 1e6 points x 100 steps", _stdmap_case(), None),
+            ("write_grid_csv 1024x1024", _csv_case(), None)):
         case()
-        print(f"{label:32s}  numpy: {_median_time(case):8.4f}s")
+        line = f"{label:34s}  numpy: {_median_time(case):8.4f}s"
+        if unit is not None:
+            peak = _traced_peak(case)
+            line += f"  peak: {peak / 1e6:.1f} MB = {peak / unit[0]:.2f} x {unit[1]}"
+        print(line)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
-"""Hot numeric kernels: the 4-tap wavelet level stencil and the classical
-map ensemble advance.
+"""Hot numeric kernels: the 4-tap wavelet level stencil, the blocked sums
+of squares and fourth powers, and the classical map ensemble advance.
 
-Both are numpy only. The D4 stencil works along any axis, so 2D transforms
+All are numpy only. The D4 stencil works along any axis, so 2D transforms
 need no transposes. The map advance is one loop of whole-array updates, and
 the cell wrap it applies (`wrap_theta`, `wrap_momentum`) is defined here once.
 
@@ -38,22 +38,19 @@ _EVEN = slice(0, None, 2)
 _ODD = slice(1, None, 2)
 
 
-# outputs per stencil pass: a batch axis is cut into chunks of about this
-# many samples, so the scratch product stays in cache
-_CHUNK = 1 << 18
-
-
-def _d4_level(p, q, axis, taps, step, out, scratch):
+def _d4_level(p, q, axis, taps, step, out):
     """y[k] = t0 p[k] + t1 q[k] + t2 p[k+step] + t3 q[k+step], indices
     wrapped, summed left to right, for each tap row (t0, t1, t2, t3) and
     output y. A shifted term is one product moved by one sample plus its one
-    wrapped edge element."""
+    wrapped edge element; one scratch buffer of p's shape holds every
+    product, so callers that want it in cache pass cache-sized pieces."""
     head = _along(p.ndim, axis, slice(None, -1))
     tail = _along(p.ndim, axis, slice(1, None))
     last = _along(p.ndim, axis, slice(-1, None))
     first = _along(p.ndim, axis, slice(0, 1))
     # (destination, source) index pairs of y[k] += scratch[k + step]
     shift = ((head, tail), (last, first)) if step > 0 else ((tail, head), (first, last))
+    scratch = np.empty(p.shape)
     for (t0, t1, t2, t3), y in zip(taps, out):
         np.multiply(p, t0, out=y)
         np.multiply(q, t1, out=scratch)
@@ -62,23 +59,6 @@ def _d4_level(p, q, axis, taps, step, out, scratch):
             np.multiply(samples, tap, out=scratch)
             for dst, src in shift:
                 y[dst] += scratch[src]
-
-
-def _stencil(p, q, axis, taps, step, out):
-    # one scratch buffer holds every product; on 2D and higher input it
-    # covers one chunk of the first other axis at a time
-    if p.ndim == 1:
-        parts = [()]
-    else:
-        batch = 1 if axis == 0 else 0
-        rows = max(1, _CHUNK * p.shape[batch] // p.size)
-        parts = [_along(p.ndim, batch, slice(i, i + rows))
-                 for i in range(0, p.shape[batch], rows)]
-    scratch = np.empty(p[parts[0]].shape)
-    for part in parts:
-        chunk = p[part]
-        _d4_level(chunk, q[part], axis, taps, step, [y[part] for y in out],
-                  scratch[tuple(map(slice, chunk.shape))])
 
 
 def d4_analyze(x: np.ndarray, out, axis: int = -1):
@@ -92,8 +72,8 @@ def d4_analyze(x: np.ndarray, out, axis: int = -1):
     """
     x = np.asarray(x, dtype=np.float64)
     axis %= x.ndim
-    _stencil(x[_along(x.ndim, axis, _EVEN)], x[_along(x.ndim, axis, _ODD)],
-             axis, (D4_H, D4_G), 1, out)
+    _d4_level(x[_along(x.ndim, axis, _EVEN)], x[_along(x.ndim, axis, _ODD)],
+              axis, (D4_H, D4_G), 1, out)
     return out
 
 
@@ -107,9 +87,33 @@ def d4_synthesize(a: np.ndarray, d: np.ndarray, out: np.ndarray, axis: int = -1)
     axis %= a.ndim
     h0, h1, h2, h3 = D4_H
     g0, g1, g2, g3 = D4_G
-    _stencil(a, d, axis, ((h0, g0, h2, g2), (h1, g1, h3, g3)), -1,
-             (out[_along(out.ndim, axis, _EVEN)], out[_along(out.ndim, axis, _ODD)]))
+    _d4_level(a, d, axis, ((h0, g0, h2, g2), (h1, g1, h3, g3)), -1,
+              (out[_along(out.ndim, axis, _EVEN)], out[_along(out.ndim, axis, _ODD)]))
     return out
+
+
+# samples per block of square_sums
+_BLOCK = 1 << 16
+
+
+def square_sums(values) -> tuple:
+    """(sum v^2, sum v^4) over every entry of values.
+
+    The squares are taken in blocks of one reused buffer and squared again
+    in place, so no field-sized temporary is made; the block sums are added
+    in sequence.
+    """
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    buf = np.empty(min(flat.size, _BLOCK))
+    second = fourth = 0.0
+    for start in range(0, flat.size, _BLOCK):
+        chunk = flat[start:start + _BLOCK]
+        s = buf[:chunk.size]
+        np.multiply(chunk, chunk, out=s)
+        second += float(np.sum(s))
+        s *= s
+        fourth += float(np.sum(s))
+    return second, fourth
 
 
 TWO_PI = 2.0 * math.pi

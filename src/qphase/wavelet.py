@@ -7,7 +7,11 @@ approximation occupies the leading half of the active block and the detail
 the trailing half; 2D levels transform rows then columns of the shrinking
 top-left block. Full depth (approximation band of 4 samples in 1D, 4x4 in 2D)
 is the default. All three variants, in both directions, run one pyramid loop;
-a tiled field runs it on a 4D view of itself, every tile at once.
+a tiled field runs it on a 4D view of itself, every tile at once. The loop
+works in place on the coefficient array: each pass along an axis goes
+through cache-sized chunks of a batch axis, each analysed (or synthesised)
+into a chunk-sized scratch and copied back, so no grid-sized workspace is
+allocated and a 2D transform costs its input plus one coefficient copy.
 """
 
 from __future__ import annotations
@@ -61,6 +65,29 @@ def _active(arr: np.ndarray, axes, n: int) -> np.ndarray:
     return arr[tuple(index)]
 
 
+# samples per chunk of a pass: the chunk, its analysed or synthesised copy
+# and the stencil's product buffer stay in cache together
+_CHUNK = 1 << 16
+# least entries per chunk along a batch axis that is the contiguous last
+# axis: a chunk of columns is iterated in runs of this length, and shorter
+# runs cost more in loop overhead than the cache saves
+_RUN = 64
+
+
+def _chunks(block: np.ndarray, axis: int) -> list:
+    """Index tuples that cut block along its longest axis other than `axis`
+    into chunks of about _CHUNK samples, at least _RUN entries wide when that
+    axis is the last one; a 1D block is one chunk."""
+    if block.ndim == 1:
+        return [()]
+    batch = max((ax for ax in range(block.ndim) if ax != axis), key=lambda ax: block.shape[ax])
+    rows = max(1, _CHUNK * block.shape[batch] // block.size)
+    if batch == block.ndim - 1:
+        rows = max(rows, _RUN)
+    return [kernels._along(block.ndim, batch, slice(i, i + rows))
+            for i in range(0, block.shape[batch], rows)]
+
+
 def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
     """Run `levels` levels of out in place, along each of axes in turn.
 
@@ -68,29 +95,31 @@ def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
     so a (side/t, t, side/t, t) view with axes (3, 1) moves all tiles at once.
     The forward direction analyzes from the whole block down; the inverse
     synthesizes from the smallest block up, along the axes in reverse order,
-    so it undoes the forward run exactly. One workspace of out's shape is
-    allocated once: each pass along an axis writes the active block from one
-    array into the other, so with two axes a level ends back in out and only
-    an odd axis count needs a copy back.
+    so it undoes the forward run exactly. Each pass along an axis works on
+    cache-sized chunks of a batch axis: a chunk is analysed (or synthesised)
+    into a chunk-sized scratch and copied back while it is still in cache,
+    so no grid-sized workspace is allocated.
     """
-    work = np.empty_like(out)
     sizes = [out.shape[axes[0]] >> i for i in range(levels)]
     if not forward:
         sizes.reverse()
         axes = axes[::-1]
+    scratch = np.empty(0)
     for n in sizes:
         block = _active(out, axes, n)
-        src, dst = block, _active(work, axes, n)
         for ax in axes:
             low = kernels._along(block.ndim, ax, slice(0, n // 2))
             high = kernels._along(block.ndim, ax, slice(n // 2, n))
-            if forward:
-                kernels.d4_analyze(src, (dst[low], dst[high]), axis=ax)
-            else:
-                kernels.d4_synthesize(src[low], src[high], dst, axis=ax)
-            src, dst = dst, src
-        if src is not block:
-            block[...] = src
+            for part in _chunks(block, ax):
+                chunk = block[part]
+                if scratch.size < chunk.size:
+                    scratch = np.empty(chunk.size)
+                done = scratch[:chunk.size].reshape(chunk.shape)
+                if forward:
+                    kernels.d4_analyze(chunk, (done[low], done[high]), axis=ax)
+                else:
+                    kernels.d4_synthesize(chunk[low], chunk[high], done, axis=ax)
+                chunk[...] = done
     return out
 
 

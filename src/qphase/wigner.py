@@ -44,7 +44,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import rotator
+from . import kernels, rotator
 from .errors import QPhaseError
 from .statevec import as_state, check_register, partial_qft_blocks, qft
 
@@ -70,11 +70,12 @@ class WignerGrid:
     def total(self) -> float:
         return float(self.values.sum())
 
+    # the two checks below read the grid without a grid-sized temporary
     def total_sq(self) -> float:
-        return float(np.sum(self.values * self.values))
+        return kernels.square_sums(self.values)[0]
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return abs(max(float(self.values.max()), -float(self.values.min())))
 
 
 def _row_signs(N: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qphase import analysis, rotator, wavelet, wigner
 from qphase.errors import QPhaseError
 
@@ -176,6 +177,14 @@ def test_wigner_scan_row_entropy_matches_whole_grid():
             grid = wigner.wigner_from_momentum(psi)
             whole = analysis.entropy(grid.values * grid.values * (2 * grid.N))
             assert row.S == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+
+def test_wigner_scan_row_holds_at_most_two_grids_and_a_chunk():
+    # S is taken and its weights freed before the D4 transform, whose
+    # pyramid needs no workspace beyond the coefficient copy
+    peak = oracles.traced_peak(lambda: analysis.wigner_scan_row(2.0, 9, 50))
+    grid_bytes = (2 << 9) ** 2 * 8
+    assert peak <= 2.2 * grid_bytes
 
 
 def test_entropy_matches_the_plain_sum_with_zero_weights():

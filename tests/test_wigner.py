@@ -67,6 +67,22 @@ def test_sum_rules_on_random_states():
         assert grid.imag_residue < 1e-10
 
 
+def test_grid_checks_make_no_grid_sized_temporary():
+    # on a 1024^2 grid both checks stay under 1 MB of allocations; max_abs
+    # is bit-equal to the plain expression, total_sq within one rounding
+    grid = wigner.wigner_direct(oracles.random_state(512, seed=12))
+    v = grid.values
+    assert oracles.traced_peak(grid.total_sq) < 1 << 20
+    assert oracles.traced_peak(grid.max_abs) < 1 << 20
+    plain = np.sum(v * v)
+    assert abs(grid.total_sq() - plain) <= 1e-15 * plain
+    # the largest |W| is positive on one grid and negative on the other, and
+    # an all-negative-zero grid must give +0.0 as np.abs does
+    for values in (v, -v, np.full((4, 4), -0.0)):
+        got = wigner.WignerGrid(values=values, N=values.shape[0] // 2).max_abs()
+        assert np.array(got).tobytes() == np.max(np.abs(values)).tobytes()
+
+
 def test_angle_delta_fills_one_row():
     # a position delta at m0 pairs only with itself: the row Theta = 2 m0
     # is uniformly 1/(2N) across all 2N columns, everything else vanishes
