@@ -4,10 +4,13 @@ Run as `python -m qphase.bench`. Reports the median of three passes for the
 kicked-rotator evolution at n_q = 16, with its minor page faults per kick
 where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11,
 the 2D wavelet pyramid, a whole Wigner scan row at n_q = 11, the classical
-map's `kernels.stdmap_advance` and the CSV grid dump of a 1024x1024 grid into
-memory. The pyramid and the scan row also report their tracemalloc peak in
-one more, untimed pass, as a multiple of the field or grid they work on.
-Every kernel has one numpy path.
+map's `kernels.stdmap_advance` (also in ns per point-step) and the CSV grid
+dump into memory, of a random 1024x1024 grid (every row through the one
+"%.17g" row template) and of the Wigner grid that `qphase wigner --nq 9 --K 2
+--t 100` writes (every row through the mirrored half-row path). The pyramid
+and the scan row also report their tracemalloc peak in one more, untimed
+pass, as a multiple of the field or grid they work on. Every kernel has one
+numpy path.
 """
 
 from __future__ import annotations
@@ -90,20 +93,30 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+# points and steps of the map case
+_MAP_POINTS, _MAP_STEPS = 1_000_000, 100
+
+
 def _stdmap_case():
     rng = _rng(1)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=1_000_000)
-    p = rng.uniform(-np.pi, np.pi, size=1_000_000)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=_MAP_POINTS)
+    p = rng.uniform(-np.pi, np.pi, size=_MAP_POINTS)
 
     def run():
-        kernels.stdmap_advance(theta, p, 2.0, 100)
+        kernels.stdmap_advance(theta, p, 2.0, _MAP_STEPS)
 
     return run
 
 
-def _csv_case():
-    grid = _rng(3).standard_normal((1024, 1024))
+def _wigner_grid():
+    # the grid `qphase wigner --nq 9 --K 2 --t 100` dumps
+    from . import rotator, wigner
+    params = rotator.RotatorParams(n_q=9, K=2.0)
+    psi = rotator.evolve(rotator.initial_band_state(params), params, 100)
+    return wigner.wigner_from_momentum(psi).values
 
+
+def _csv_case(grid):
     def run():
         from . import imageio
         imageio.write_grid_csv(grid, io.StringIO())
@@ -128,12 +141,17 @@ def main() -> None:
             ("d4_forward_2d 1024x1024", _wavelet_case(), (1024 * 1024 * 8, "field")),
             ("wigner_scan_row K=2 n_q=11 t=1000", _scan_row_case(), (4096 * 4096 * 8, "grid")),
             ("stdmap 1e6 points x 100 steps", _stdmap_case(), None),
-            ("write_grid_csv 1024x1024", _csv_case(), None)):
+            ("write_grid_csv 1024x1024 random",
+             _csv_case(_rng(3).standard_normal((1024, 1024))), None),
+            ("write_grid_csv wigner n_q=9 t=100", _csv_case(_wigner_grid()), None)):
         case()
-        line = f"{label:34s}  numpy: {_median_time(case):8.4f}s"
+        seconds = _median_time(case)
+        line = f"{label:34s}  numpy: {seconds:8.4f}s"
         if unit is not None:
             peak = _traced_peak(case)
             line += f"  peak: {peak / 1e6:.1f} MB = {peak / unit[0]:.2f} x {unit[1]}"
+        if label.startswith("stdmap"):
+            line += f"  {seconds / (_MAP_POINTS * _MAP_STEPS) * 1e9:.1f} ns/point-step"
         print(line)
 
 

@@ -174,8 +174,16 @@ def render_heatmap(grid, signed: bool, path) -> None:
     save_pgm(GrayImage(px), path)
 
 
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+
+
 def write_grid_csv(grid, fh) -> None:
-    """Dump a 2D grid as row,col,value lines with full float precision."""
+    """Dump a 2D grid as row,col,value lines with full float precision.
+
+    A row whose right half is its left half, or the left half with every
+    sign bit flipped (the Wigner sign rule), has only its left half
+    formatted; the right half reuses those strings.
+    """
     v = np.asarray(grid, dtype=np.float64)
     if v.ndim != 2:
         raise QPhaseError("invalid-dimension", f"grid dump needs 2D, got {v.ndim}D")
@@ -187,10 +195,29 @@ def write_grid_csv(grid, fh) -> None:
     # float formatter, so each line is f"{r},{c},{x:.17g}\n" to the byte. "\0"
     # marks where the row label goes.
     line = "\0" + "\0".join(f",{c},%.17g\n" for c in range(cols))
+    half = cols // 2 if cols % 2 == 0 else 0
+    if half:
+        # the row template that takes formatted strings, and the format of
+        # one half with each value "\1"-terminated for the split
+        filled = "\0" + "\0".join(f",{c},%s\n" for c in range(cols))
+        half_line = "%.17g\1" * half
     for r in range(rows):
+        label = str(r)
+        if half:
+            # compared as bytes of the int64 bits, so -0.0 and NaN payloads count
+            bits = v[r].view(np.int64)
+            right = bits[half:].tobytes()
+            mirrored = bits[:half].tobytes() == right
+            if mirrored or (bits[:half] ^ _SIGN_BIT).tobytes() == right:
+                texts = (half_line % tuple(v[r, :half].tolist())).split("\1")[:-1]
+                # "%.17g" of -x from that of x: "nan" carries no sign
+                texts += texts if mirrored else [
+                    t[1:] if t[0] == "-" else t if t == "nan" else "-" + t for t in texts]
+                fh.write(filled.replace("\0", label) % tuple(texts))
+                continue
         # tolist() per row: Python floats format faster than numpy scalars,
         # and only one row of them exists at a time
-        fh.write(line.replace("\0", str(r)) % tuple(v[r].tolist()))
+        fh.write(line.replace("\0", label) % tuple(v[r].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -117,31 +117,79 @@ def square_sums(values) -> tuple:
 
 
 TWO_PI = 2.0 * math.pi
+_FOUR_PI = 2.0 * TWO_PI
+
+
+def _wrap_scratch(x):
+    """(below, above, shift): the buffers `_wrap` needs for arrays shaped like x."""
+    return np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool), np.empty(x.shape)
+
+
+def _wrap(x, below, above, shift):
+    """x %= 2 pi in place on a float64 array, bit for bit as numpy's `%`.
+
+    For x in [-2 pi, 4 pi) the result is x + 2 pi [x < 0] - 2 pi [x >= 2 pi]:
+    the subtraction is exact (Sterbenz), the addition is the same rounded
+    `mod += 2 pi` numpy applies, and the added 0.0 turns -0.0 into +0.0 as
+    `%` does. Any other input, NaN and inf included, goes to np.remainder.
+    """
+    if x.size and x.min() >= -TWO_PI and x.max() < _FOUR_PI:
+        np.less(x, 0.0, out=below)
+        np.greater_equal(x, TWO_PI, out=above)
+        np.subtract(below, above, out=shift, dtype=np.float64)
+        shift *= TWO_PI
+        x += shift
+    else:
+        np.remainder(x, TWO_PI, out=x)
 
 
 def wrap_theta(theta):
-    """theta mod 2 pi, in [0, 2 pi) up to rounding: numpy's `%` returns 2 pi
-    itself for negative inputs within round-off of a multiple of 2 pi."""
-    return np.asarray(theta) % TWO_PI
+    """theta mod 2 pi as float64, bit for bit `theta % (2 pi)`.
+
+    The result lies in [0, 2 pi] rather than [0, 2 pi): like `%`, it is
+    2 pi itself for negative inputs within round-off of a multiple of 2 pi
+    (-1e-17 gives 2 pi).
+    """
+    x = np.array(theta, dtype=np.float64)
+    _wrap(x, *_wrap_scratch(x))
+    return x[()]  # a scalar for scalar input, as `%` gives
 
 
 def wrap_momentum(p):
-    """p wrapped into the cell [-pi, pi), with the same rounding edge at pi."""
-    return (np.asarray(p) + math.pi) % TWO_PI - math.pi
+    """p wrapped into the cell, bit for bit `(p + pi) % (2 pi) - pi`.
+
+    The result lies in [-pi, pi], with the same round-off edge at +pi: the
+    double just below -pi gives +pi.
+    """
+    x = np.array(p, dtype=np.float64)
+    x += math.pi
+    _wrap(x, *_wrap_scratch(x))
+    x -= math.pi
+    return x[()]
 
 
 def stdmap_advance(theta, p, K: float, t: int, wrap_p: bool = True):
-    """Advance (theta, p) ensembles t map steps; returns float64 copies.
+    """Advance (theta, p) ensembles of one shape t map steps; returns float64
+    copies.
 
     Each step is p += K sin(theta), theta = wrap_theta(theta + p), then
-    p = wrap_momentum(p) when wrap_p is set.
+    p = wrap_momentum(p) when wrap_p is set. The copies are updated in place
+    with the same operations in the same order, so the bits equal those of
+    the plain expressions, and a step allocates nothing.
     """
     theta = np.array(theta, dtype=np.float64)
     p = np.array(p, dtype=np.float64)
     K = float(K)
+    # the sine buffer doubles as the wrap's shift buffer
+    below, above, s = _wrap_scratch(theta)
     for _ in range(int(t)):
-        p = p + K * np.sin(theta)
-        theta = wrap_theta(theta + p)
+        np.sin(theta, out=s)
+        s *= K
+        p += s
+        theta += p
+        _wrap(theta, below, above, s)
         if wrap_p:
-            p = wrap_momentum(p)
+            p += math.pi
+            _wrap(p, below, above, s)
+            p -= math.pi
     return theta, p

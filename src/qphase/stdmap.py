@@ -6,7 +6,11 @@ Rescaled variables (theta, p = T n), one phase-space cell:
     theta' = theta + p'
 
 theta wraps into [0, 2 pi), p into [-pi, pi), by `kernels.wrap_theta` and
-`kernels.wrap_momentum`. The exact inverse is
+`kernels.wrap_momentum`, up to one round-off edge that both share with
+numpy's `%`: a value within round-off below a multiple of 2 pi lands on
+the top of the range, so theta = -1e-17 wraps to exactly 2 pi and the
+double just below -pi to +pi. `histogram_density` still counts such points,
+because its last bins are closed. The exact inverse is
 theta = theta' - p', p = p' - K sin(theta).
 """
 

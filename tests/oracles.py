@@ -187,3 +187,16 @@ def grid_csv_reference(grid) -> str:
     v = np.asarray(grid, dtype=np.float64)
     return "row,col,value\n" + "".join(
         f"{r},{c},{x:.17g}\n" for r in range(v.shape[0]) for c, x in enumerate(v[r].tolist()))
+
+
+def stdmap_reference(theta, p, K: float, t: int):
+    # the documented map step with numpy's `%` as the wrap, one new array per
+    # operation: p += K sin(theta), theta = (theta + p) mod 2 pi, then p
+    # wrapped into [-pi, pi)
+    theta = np.array(theta, dtype=np.float64)
+    p = np.array(p, dtype=np.float64)
+    for _ in range(t):
+        p = p + K * np.sin(theta)
+        theta = (theta + p) % (2 * np.pi)
+        p = (p + np.pi) % (2 * np.pi) - np.pi
+    return theta, p

@@ -91,6 +91,20 @@ def test_classical_default_covers_standard_kick_strengths(tmp_path):
                      "classical_K1.5_t0.pgm", "classical_K2_t0.pgm"}
 
 
+def test_classical_portrait_is_the_documented_map_bytes(tmp_path):
+    # the portrait after 50 kicks, to the byte, against the same band advanced
+    # by the documented `%` loop and rendered through the same histogram
+    out = tmp_path / "cmap"
+    assert main(["classical", "--K", "2", "--t", "50", "--shots", "5000", "--seed", "7",
+                 "--out", str(out)]) == 0
+    band = stdmap.initial_band(2.0, count=5000, seed=7)
+    theta, p = oracles.stdmap_reference(band.theta, band.p, 2.0, 50)
+    density = stdmap.histogram_density(stdmap.ClassicalEnsemble(theta, p, 2.0), 256, 256)
+    imageio.render_heatmap(density, signed=False, path=tmp_path / "reference.pgm")
+    assert (out / "classical_K2_t50.pgm").read_bytes() == (tmp_path / "reference.pgm").read_bytes()
+    read_manifest(out)
+
+
 def test_scan_command_csv_and_fit(tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["scan", "husimi", "--K", "2", "--t", "5", "--fit-range", "4:8",

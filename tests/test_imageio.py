@@ -311,13 +311,46 @@ def _edge_grid(shape):
     return np.resize(np.array(_EDGE_FLOATS), size).reshape(shape)
 
 
+def _sign_rule_grid(left, signs):
+    # row r is left[r] followed by left[r] (sign +1) or its negation (sign -1),
+    # as wigner_direct fills its n >= N half; negation flips NaN's sign bit too
+    return np.concatenate([left, np.where(np.asarray(signs)[:, None] > 0, left, -left)], axis=1)
+
+
+@st.composite
+def _sign_rule_grids(draw):
+    left = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                           elements=_CSV_VALUES))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(left), max_size=len(left)))
+    return _sign_rule_grid(left, signs)
+
+
+def _near_miss_grid():
+    # rows that miss the sign rule by the sign of one zero: the right half of
+    # row 0 is the left half but for -0.0 in place of 0.0, that of row 1 the
+    # negated left half but for an unflipped 0.0
+    left = np.array([_EDGE_FLOATS, _EDGE_FLOATS])
+    grid = _sign_rule_grid(left, (1, -1))
+    grid[0, len(_EDGE_FLOATS)] = -0.0
+    grid[1, len(_EDGE_FLOATS)] = 0.0
+    return grid
+
+
+_SIGN_RULE_EDGES = _sign_rule_grid(np.array([_EDGE_FLOATS] * 4), (1, -1, -1, 1))
+
+
 @_PROPERTY
-@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
-                  elements=_CSV_VALUES))
+@given(st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+               elements=_CSV_VALUES),
+    _sign_rule_grids()))
 @example(_edge_grid((1, 15)))
 @example(_edge_grid((15, 1)))
 @example(_edge_grid((3, 0)))
 @example(_edge_grid((0, 3)))
+@example(_SIGN_RULE_EDGES)
+@example(_near_miss_grid())
+@example(np.concatenate([_SIGN_RULE_EDGES, np.ones((4, 1))], axis=1))  # odd column count
 def test_property_grid_csv_matches_per_value_formatting(grid):
     buf = io.StringIO()
     imageio.write_grid_csv(grid, buf)

@@ -1,27 +1,88 @@
-"""The D4 stencil, and the classical map advance against its documented step."""
+"""The D4 stencil, the cell wrap against numpy's `%`, and the classical map
+advance against its documented step."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from qphase import kernels
 
+TWO_PI = 2 * np.pi
+
 
 def test_stdmap_advance_is_the_documented_step_bit_for_bit():
     # p += K sin(theta), theta = wrap(theta + p), p = wrap(p) when wrapping
-    # is on; the same numpy operations in the same order give the same bits
+    # is on; the same numpy operations in the same order give the same bits.
+    # K = 20 sends theta + p outside [-2 pi, 4 pi), so the wrap's np.remainder
+    # fallback runs inside the loop as well
     rng = np.random.default_rng(2)
     theta0 = rng.uniform(0, 2 * np.pi, size=1000)
     p0 = rng.uniform(-np.pi, np.pi, size=1000)
-    K, two_pi = 1.3, 2 * np.pi
-    for wrap in (True, False):
-        theta, p = theta0, p0
-        for _ in range(20):
-            p = p + K * np.sin(theta)
-            theta = (theta + p) % two_pi
-            if wrap:
-                p = (p + np.pi) % two_pi - np.pi
-        got_theta, got_p = kernels.stdmap_advance(theta0, p0, K, 20, wrap)
-        assert np.array_equal(got_theta, theta) and np.array_equal(got_p, p), wrap
+    two_pi = 2 * np.pi
+    for K in (1.3, 20.0):
+        for wrap in (True, False):
+            theta, p = theta0, p0
+            for _ in range(20):
+                p = p + K * np.sin(theta)
+                theta = (theta + p) % two_pi
+                if wrap:
+                    p = (p + np.pi) % two_pi - np.pi
+            got_theta, got_p = kernels.stdmap_advance(theta0, p0, K, 20, wrap)
+            assert np.array_equal(got_theta, theta) and np.array_equal(got_p, p), (K, wrap)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# inside [-2 pi, 4 pi): zeros of both signs, the range ends and the values
+# next to them; -1e-17 rounds to exactly 2 pi under `%` and must still do so
+_WRAP_EDGES = (0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(2 * TWO_PI, 0),
+               np.nextafter(-TWO_PI, 0), np.nextafter(TWO_PI, 0), -1e-17)
+# outside it, the range ends included: these take the np.remainder fallback
+_WRAP_FALLBACK = (2 * TWO_PI, np.nextafter(-TWO_PI, -np.inf),
+                  float("nan"), float("inf"), float("-inf"), 1e6, -1e6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hnp.arrays(np.float64, st.integers(1, 16),
+                  elements=st.one_of(st.floats(-TWO_PI, 2 * TWO_PI, exclude_max=True),
+                                     st.sampled_from(_WRAP_EDGES))))
+@example(np.array(_WRAP_EDGES))
+@example(np.array(_WRAP_EDGES + _WRAP_FALLBACK))
+@example(np.array(_WRAP_FALLBACK))
+def test_property_wrap_is_numpy_remainder_bit_for_bit(x):
+    # int64 views, so +0.0 and -0.0 count as different results; inf % 2 pi
+    # is NaN with numpy's invalid-value warning on both sides
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_bits(kernels.wrap_theta(x)), _bits(x % TWO_PI))
+        assert np.array_equal(_bits(kernels.wrap_momentum(x)),
+                              _bits((x + np.pi) % TWO_PI - np.pi))
+        for value in x.tolist():
+            assert _bits(kernels.wrap_theta(value)) == _bits(value % TWO_PI), value
+
+
+def test_wrap_round_off_edges():
+    # the `%` edges the wrap keeps: 2 pi itself just below 0, +pi just below -pi
+    assert kernels.wrap_theta(-1e-17) == TWO_PI
+    assert kernels.wrap_theta(np.array([-1e-17]))[0] == TWO_PI
+    assert kernels.wrap_momentum(np.nextafter(-np.pi, -4.0)) == np.pi
+    assert _bits(kernels.wrap_theta(-0.0)) == 0
+
+
+def test_wrap_in_range_never_calls_numpy_remainder(monkeypatch):
+    # an ensemble inside [-2 pi, 4 pi) is wrapped by the exact shift alone
+    x = np.array(_WRAP_EDGES)
+    expected = _bits(x % TWO_PI).copy()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.remainder called on an in-range array")
+
+    monkeypatch.setattr(kernels.np, "remainder", refuse)
+    assert np.array_equal(_bits(kernels.wrap_theta(x)), expected)
+    kernels.stdmap_advance(np.linspace(0, 6, 50), np.linspace(-3, 3, 50), 2.0, 10)
 
 
 def _halves(x, axis):
