@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import husimi as husimi_mod
 from . import kernels, rotator, wavelet, wigner
@@ -85,8 +84,8 @@ def wigner_ipr(values) -> float:
 def entropy(weights) -> float:
     """Shannon entropy in bits of a weight vector, renormalized internally.
 
-    One normalized copy is made; -p ln p (0 at p = 0) is then taken in place
-    on it, so zero weights need no mask.
+    One normalized copy is made; p ln p is then taken in place on it, one
+    block at a time, as p ln(p + [p = 0]), so a zero weight gives 0 ln 1 = 0.
     """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if np.any(w < 0):
@@ -97,8 +96,14 @@ def entropy(weights) -> float:
     if abs(total - 1.0) > 1e-8:
         warnings.warn(f"weights sum to {total:.6g}; renormalizing")
     p = w / total
-    special.entr(p, out=p)
-    return float(np.sum(p)) / math.log(2.0)
+    buf = np.empty(min(p.size, kernels.BLOCK))
+    for start in range(0, p.size, kernels.BLOCK):
+        chunk = p[start:start + kernels.BLOCK]
+        ln = buf[:chunk.size]
+        np.add(chunk, chunk == 0.0, out=ln)
+        np.log(ln, out=ln)
+        chunk *= ln
+    return -float(np.sum(p)) / math.log(2.0)
 
 
 def fit_scaling(points) -> ScalingFit:

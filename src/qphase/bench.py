@@ -1,8 +1,10 @@
 """Timing of the hot kernels.
 
-Run as `python -m qphase.bench`. Reports the median of three passes for the
-kicked-rotator evolution at n_q = 16, with its minor page faults per kick
-where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11,
+Run as `python -m qphase.bench`. Reports the median over five fresh
+processes of `import qphase.cli`, with the number of scipy modules it
+loaded (0: numpy is the one runtime dependency). Then the median of three
+passes for the kicked-rotator evolution at n_q = 16, with its minor page
+faults per kick where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11,
 the 2D wavelet pyramid, a whole Wigner scan row at n_q = 11, the classical
 map's `kernels.stdmap_advance` (also in ns per point-step) and the CSV grid
 dump into memory, of a random 1024x1024 grid (every row through the one
@@ -16,8 +18,12 @@ numpy path.
 from __future__ import annotations
 
 import io
+import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -89,6 +95,17 @@ def _evolve_case(t: int):
     return run
 
 
+def _cli_import() -> tuple:
+    """(median seconds, scipy modules loaded) of `import qphase.cli` in 5 fresh processes."""
+    src = str(Path(__file__).resolve().parents[1])
+    code = (f"import sys, time; sys.path.insert(0, {src!r}); start = time.perf_counter(); "
+            "import qphase.cli; print(time.perf_counter() - start, "
+            "sum(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    runs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True).stdout.split() for _ in range(5)]
+    return statistics.median(float(r[0]) for r in runs), max(int(r[1]) for r in runs)
+
+
 def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -125,6 +142,9 @@ def _csv_case(grid):
 
 
 def main() -> None:
+    seconds, scipy_modules = _cli_import()
+    print(f"{'import qphase.cli (fresh process)':34s}  numpy: {seconds:8.4f}s"
+          f"  scipy modules: {scipy_modules}")
     kicks = 200
     evolve_case = _evolve_case(kicks)
     evolve_case()

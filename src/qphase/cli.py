@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, analysis, husimi, imageio, measurement, rotator, stdmap, wavelet, wigner
 from .errors import QPhaseError
@@ -93,7 +92,6 @@ def _write_manifest(outdir: Path, command: str, params: dict, files) -> None:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "qphase": __version__,
         },
         "outputs": checksums,
@@ -175,9 +173,9 @@ def _scan_rows(args):
             image = imageio.corpus_image(args.image, 1 << (kn[1] // 2))
             amps = imageio.encode_wavefunction(image)
             return analysis.image_scan_row(amps.values, kn[1], args.tile)
-    if not todo:
+    if len(todo) < 3:  # the fit needs three rows; refuse before any row runs
         raise QPhaseError("insufficient-data",
-                          f"no usable qubit counts in range {lo}:{hi}")
+                          f"range {lo}:{hi} has {len(todo)} usable qubit counts; the fit needs 3")
     # refuse the largest row by the rows' own register rule before any row runs
     n_max = todo[-1][1]
     if args.distribution == "image":

@@ -92,8 +92,8 @@ def d4_synthesize(a: np.ndarray, d: np.ndarray, out: np.ndarray, axis: int = -1)
     return out
 
 
-# samples per block of square_sums
-_BLOCK = 1 << 16
+# samples per block of the blocked reductions (square_sums, analysis.entropy)
+BLOCK = 1 << 16
 
 
 def square_sums(values) -> tuple:
@@ -104,10 +104,10 @@ def square_sums(values) -> tuple:
     in sequence.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    buf = np.empty(min(flat.size, _BLOCK))
+    buf = np.empty(min(flat.size, BLOCK))
     second = fourth = 0.0
-    for start in range(0, flat.size, _BLOCK):
-        chunk = flat[start:start + _BLOCK]
+    for start in range(0, flat.size, BLOCK):
+        chunk = flat[start:start + BLOCK]
         s = buf[:chunk.size]
         np.multiply(chunk, chunk, out=s)
         second += float(np.sum(s))

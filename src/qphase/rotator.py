@@ -36,10 +36,11 @@ permuted layout. The same steps in the other axis order, with the same
 twiddle array, take the permuted layout back to the natural one. So
 consecutive transforms alternate between the two layouts, M is stored in
 both, and an odd t starts from a permuted copy of the state so that the
-result lands in the natural layout. Every FFT runs in place with
-cache-sized scratch, so a kick allocates nothing; whole-length FFT
-temporaries, once the register passes glibc's mmap threshold, cost a page
-fault per 4 kB on every kick.
+result lands in the natural layout. Every FFT is `numpy.fft.fft` with
+`out=` its own input: it runs in place with scratch of one row or column,
+so a kick allocates nothing. Whole-length FFT temporaries, once the
+register passes glibc's mmap threshold, would cost a page fault per 4 kB
+on every kick.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import QPhaseError
 from .statevec import check_register
@@ -134,12 +134,12 @@ def initial_band_state(params: RotatorParams) -> np.ndarray:
     return psi
 
 
-def _fft(a: np.ndarray, tw: np.ndarray, permuted: bool) -> np.ndarray:
+def _fft(a: np.ndarray, tw: np.ndarray, permuted: bool) -> None:
     """Unitary forward DFT in place: natural layout in, permuted out, or the reverse."""
     first = int(permuted)
-    a = sfft.fft(a, axis=first, norm="ortho", overwrite_x=True)
+    np.fft.fft(a, axis=first, norm="ortho", out=a)
     a *= tw
-    return sfft.fft(a, axis=1 - first, norm="ortho", overwrite_x=True)
+    np.fft.fft(a, axis=1 - first, norm="ortho", out=a)
 
 
 def _evolved(state, params: RotatorParams, t: int) -> np.ndarray:
@@ -161,17 +161,17 @@ def _evolved(state, params: RotatorParams, t: int) -> np.ndarray:
     permuted = t % 2 == 1
     a = np.empty((n1, n2), dtype=np.complex128)
     a[...] = src.reshape(n2, n1).T if permuted else src.reshape(n1, n2)
-    a = _fft(a, tw, permuted)
+    _fft(a, tw, permuted)
     permuted = not permuted
     a *= chirps[permuted]
     for _ in range(t):
-        a = _fft(a, tw, permuted)
+        _fft(a, tw, permuted)
         permuted = not permuted
         a *= kicks[permuted]
     # F^{-1} conj(D) x = conj(F (D conj(x)))
     np.conjugate(a, out=a)
     a *= chirps[permuted]
-    a = _fft(a, tw, permuted)
+    _fft(a, tw, permuted)
     np.conjugate(a, out=a)
     return a.reshape(-1)
 

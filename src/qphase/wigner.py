@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels, rotator
@@ -114,7 +113,7 @@ def wigner_direct(state) -> WignerGrid:
         np.multiply(left[h:], right[q + h:q + N], out=other)
         other *= 1j
         pair += other
-        pair = scipy.fft.fft(pair, axis=1, overwrite_x=True)
+        np.fft.fft(pair, axis=1, out=pair)
         pair *= twiddle
         rows = values[q::2]
         rows[:h, :N] = pair.real

@@ -197,6 +197,20 @@ def test_entropy_matches_the_plain_sum_with_zero_weights():
     assert analysis.entropy(p) == pytest.approx(plain, rel=1e-14, abs=0.0)
 
 
+def test_entropy_matches_scipy_entr():
+    # scipy is a test-only oracle: sum entr(p) / ln 2 on weights with exact
+    # zeros and magnitudes from 1e-300 to 1, across several blocks
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(17)
+    for size in (1, 7, 1000, 3 * (1 << 16) + 5):
+        w = 10.0 ** rng.uniform(-300.0, 0.0, size=size)
+        w[rng.uniform(size=size) < 0.25] = 0.0
+        w[0] = 1.0
+        p = w / w.sum()
+        oracle = float(np.sum(special.entr(p))) / np.log(2.0)
+        assert analysis.entropy(p) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+
 def test_husimi_scan_row_needs_even_qubits():
     with pytest.raises(QPhaseError) as err:
         analysis.husimi_scan_row(2.0, 7, t=1)

@@ -37,7 +37,7 @@ def test_wigner_command(tmp_path, capsys):
     manifest = read_manifest(out)
     assert manifest["command"] == "wigner"
     assert set(manifest["outputs"]) == {"wigner.csv", "wigner.pgm"}
-    assert "numpy" in manifest["versions"]
+    assert set(manifest["versions"]) == {"python", "numpy", "qphase"}
 
 
 def test_wigner_csv_bytes_match_per_value_formatting(tmp_path):
@@ -150,6 +150,24 @@ def test_scan_empty_range_is_usage_error(tmp_path, capsys):
     code = main(["scan", "husimi", "--K", "2", "--t", "1", "--fit-range", "5:5",
                  "--out", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("distribution, fit_range", [
+    ("husimi", "14:16"), ("wigner", "5:6"), ("image", "6:8")])
+def test_scan_refuses_a_range_too_short_to_fit_before_any_row(tmp_path, monkeypatch,
+                                                              distribution, fit_range):
+    # the fit needs three rows; fewer is refused before any row runs or any
+    # file is written
+    computed = []
+    for name in ("wigner_scan_row", "husimi_scan_row", "image_scan_row"):
+        monkeypatch.setattr(analysis, name, lambda *args: computed.append(args))
+    monkeypatch.setattr(imageio, "corpus_image", lambda *args: computed.append(args))
+    out = tmp_path / "short"
+    code = main(["scan", distribution, "--K", "2", "--t", "1000", "--fit-range", fit_range,
+                 "--out", str(out)])
+    assert code == 2
+    assert computed == []
+    assert list(out.iterdir()) == []
 
 
 def test_rotator_scan_needs_kick_strength_and_count(tmp_path):
@@ -302,10 +320,14 @@ def test_huge_register_is_a_resource_error(tmp_path, command, n_q):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # numpy is the one runtime dependency: importing the CLI loads no scipy
+    # module at all, scipy.stats included
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import qphase.cli; "
-            "assert 'scipy.stats' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code], check=True)
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_amplify_region_bounds_checked(capsys):

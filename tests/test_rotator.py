@@ -168,6 +168,16 @@ def test_evolve_makes_no_per_kick_page_faults():
     assert int(run.stdout) < 1000
 
 
+def test_evolve_peak_memory_is_about_one_state():
+    # the FFTs write into their input, so the traced peak is the one working
+    # buffer plus row-sized scratch; one allocating transform adds a state
+    params = rotator.RotatorParams(n_q=16, K=2.0)
+    psi = rotator.initial_band_state(params)
+    rotator.evolve(psi, params, 1)  # fill the caches outside the trace
+    peak = oracles.traced_peak(lambda: rotator.evolve(psi, params, 50))
+    assert peak < 1.25 * psi.nbytes
+
+
 def test_double_register_evolution_factorizes():
     # the second register runs conj(U) on conj(psi), which is conj(U psi):
     # u (x) conj(u) agrees with the dense product operator U (x) conj(U)

@@ -39,21 +39,6 @@ def test_imag_residue_is_small_and_reported():
     assert wigner.wigner_direct(oracles.random_state(64, seed=21)).imag_residue > 0.0
 
 
-def test_direct_runs_where_numpy_fft_has_no_out_argument(monkeypatch):
-    # numpy.fft.fft gained out= in numpy 2.0; the declared floor is 1.24
-    psi = oracles.random_state(32, seed=3)
-    expected = wigner.wigner_direct(psi)
-    fft = np.fft.fft
-
-    def fft_numpy_1_24(a, n=None, axis=-1, norm=None):
-        return fft(a, n, axis, norm)
-
-    monkeypatch.setattr(np.fft, "fft", fft_numpy_1_24)
-    got = wigner.wigner_direct(psi)
-    assert np.array_equal(got.values, expected.values)
-    assert got.imag_residue == expected.imag_residue
-
-
 def test_sum_rules_on_random_states():
     rng = np.random.default_rng(10)
     for _ in range(100):
