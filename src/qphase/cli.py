@@ -142,6 +142,8 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_husimi(args) -> int:
+    if args.nq % 2:  # the grid is sqrt(N) x sqrt(N); refuse before evolving
+        raise QPhaseError("invalid-parameter", f"need even n_q, got {args.nq}")
     outdir = _outdir(args)
     params = rotator.RotatorParams(n_q=args.nq, K=args.K)
     psi = rotator.evolve(rotator.initial_band_state(params), params, args.t)
@@ -189,26 +191,21 @@ def _scan_rows(args):
 
 
 def cmd_scan(args) -> int:
-    if args.distribution != "image" and (args.K is None or args.t is None):
-        raise QPhaseError("invalid-parameter",
-                          f"scan {args.distribution} needs --K and --t")
     outdir = _outdir(args)
     rows = _scan_rows(args)
     with open(outdir / "scan.csv", "w") as fh:
         fh.write("K,n_q,xi_raw,xi_wavelet,R,S\n")
         for row in rows:
             fh.write(row.csv() + "\n")
-    _write_manifest(outdir, "scan",
-                    {"distribution": args.distribution, "K": args.K, "t": args.t,
-                     "range": list(args.fit_range), "tile": args.tile,
-                     "wavelet": args.wavelet, "image": args.image},
-                    ["scan.csv"])
-    points = [(r.n_q, r.xi_wavelet if args.wavelet else r.xi_raw) for r in rows]
-    fit = analysis.fit_scaling(points)
-    which = "xi_wavelet" if args.wavelet else "xi_raw"
-    print(f"fit on {which} over n_q in [{fit.range[0]:g}, {fit.range[1]:g}]:")
-    print(f"  exponent  = {fit.exponent:.4f} +- {fit.stderr:.4f}")
-    print(f"  intercept = {fit.intercept:.4f}")
+    # each distribution's sub-parser holds only the options its rows read
+    params = {key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "out", "fit_range")}
+    _write_manifest(outdir, "scan", {**params, "range": list(args.fit_range)}, ["scan.csv"])
+    for which in ("xi_raw", "xi_wavelet"):
+        fit = analysis.fit_scaling([(r.n_q, getattr(r, which)) for r in rows])
+        print(f"fit on {which} over n_q in [{fit.range[0]:g}, {fit.range[1]:g}]:")
+        print(f"  exponent  = {fit.exponent:.4f} +- {fit.stderr:.4f}")
+        print(f"  intercept = {fit.intercept:.4f}")
     return 0
 
 
@@ -238,13 +235,13 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_amplify(args) -> int:
     params = rotator.RotatorParams(n_q=args.nq, K=args.K)
-    psi0 = rotator.initial_band_state(params)
-    grid, final_state = wigner.wigner_register_pipeline(psi0, params, args.t)
     side = 2 * params.N
     r0, r1, c0, c1 = args.region
     if r1 > side or c1 > side:
         raise QPhaseError("invalid-parameter",
                           f"region exceeds the {side}x{side} register grid")
+    psi0 = rotator.initial_band_state(params)
+    grid, final_state = wigner.wigner_register_pipeline(psi0, params, args.t)
     mask2d = np.zeros((side, side), dtype=bool)
     mask2d[r0:r1, c0:c1] = True
     report = measurement.amplitude_amplify(final_state, mask2d.reshape(-1), "auto")
@@ -308,17 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_husimi)
 
     sp = sub.add_parser("scan", help="localization scan over qubit counts")
-    sp.add_argument("distribution", choices=("wigner", "husimi", "image"))
-    sp.add_argument("--K", type=float, help="kick strength (required for rotator scans)")
-    sp.add_argument("--t", type=int, help="number of kicks (required for rotator scans)")
-    sp.add_argument("--fit-range", type=_fit_range, required=True, metavar="a:b",
-                    help="inclusive qubit-count range to scan and fit")
-    sp.add_argument("--tile", type=int, default=0, help="tile size (image scans)")
-    sp.add_argument("--wavelet", action="store_true", help="fit the wavelet-domain xi")
-    sp.add_argument("--image", default="portrait", choices=imageio.CORPUS_NAMES,
-                    help="corpus image (image scans)")
-    sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_scan)
+    dist = sp.add_subparsers(dest="distribution", required=True)
+    scans = {"wigner": "Wigner grids of the evolved band state",
+             "husimi": "modified Husimi grids of the evolved band state (even n_q)",
+             "image": "a corpus image as an amplitude register (even n_q)"}
+    for name, text in scans.items():
+        # no abbreviations: `scan image --t 10` would otherwise read as --tile
+        dp = dist.add_parser(name, help=text, allow_abbrev=False)
+        if name == "image":
+            dp.add_argument("--tile", type=int, default=0, help="tile size for the transform")
+            dp.add_argument("--image", default="portrait", choices=imageio.CORPUS_NAMES,
+                            help="corpus image")
+        else:
+            common(dp, K="req", t=True)
+        dp.add_argument("--fit-range", type=_fit_range, required=True, metavar="a:b",
+                        help="inclusive qubit-count range to scan and fit")
+        dp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("reconstruct", help="sparse reconstruction of a PGM image")
     sp.add_argument("image", help="input PGM path")

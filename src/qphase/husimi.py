@@ -10,8 +10,8 @@ applies one inverse unitary DFT over r inside each block:
 (the block-offset phase e^{i theta0 j sqrt N} is an integer multiple of 2 pi
 and drops). |H|^2 is a genuine probability distribution on the sqrt(N) x
 sqrt(N) grid. The Gaussian variant overlaps the state with wrapped coherent
-states phi(n) = A e^{-(n - n0)^2 / 4 a^2 - i theta0 n}; the default width
-a = sqrt(N / 4 pi) balances angle and momentum resolution.
+states phi(n) = A e^{-(n - n0)^2 / 4 a^2 - i theta0 n} of the one width
+a = sqrt(N / 4 pi), which balances angle and momentum resolution.
 """
 
 from __future__ import annotations
@@ -69,13 +69,10 @@ def default_width(N: int) -> float:
     return math.sqrt(N / (4.0 * math.pi))
 
 
-def _wrapped_envelope(N: int, n0: float, a: float | None) -> np.ndarray:
-    # e^{-(n - n0)^2 / 4 a^2} summed over the nearest images of the ring;
-    # a None is the default width
-    if a is None:
-        a = default_width(N)
-    if a <= 0:
-        raise QPhaseError("invalid-parameter", f"Gaussian width must be > 0, got {a}")
+def _wrapped_envelope(N: int, n0: float) -> np.ndarray:
+    # e^{-(n - n0)^2 / 4 a^2} at a = default_width(N), summed over the
+    # nearest images of the ring
+    a = default_width(N)
     n = np.arange(N, dtype=np.float64)
     envelope = np.zeros(N)
     for image in range(-_WRAP_IMAGES, _WRAP_IMAGES + 1):
@@ -84,23 +81,24 @@ def _wrapped_envelope(N: int, n0: float, a: float | None) -> np.ndarray:
     return envelope
 
 
-def coherent_state(N: int, theta0: float, n0: float, a: float | None = None) -> np.ndarray:
-    """Normalized wrapped Gaussian on the momentum ring."""
+def coherent_state(N: int, theta0: float, n0: float) -> np.ndarray:
+    """Normalized wrapped Gaussian on the momentum ring, centered at
+    (theta0, n0), of width `default_width(N)`."""
     n = np.arange(N, dtype=np.float64)
-    phi = _wrapped_envelope(N, n0, a) * np.exp(-1j * theta0 * n)
+    phi = _wrapped_envelope(N, n0) * np.exp(-1j * theta0 * n)
     return phi / np.linalg.norm(phi)
 
 
-def gaussian_husimi(state, a: float | None = None) -> np.ndarray:
+def gaussian_husimi(state) -> np.ndarray:
     """|<phi_(theta0, n0)|psi>|^2 over the full integer grid, indexed [l, n0].
 
-    theta0 = 2 pi l / N for l = 0..N-1 and n0 = 0..N-1, width a (default
-    `default_width`). One center's value is abs(np.vdot(coherent_state(N,
-    theta0, n0, a), psi)) ** 2.
+    theta0 = 2 pi l / N for l = 0..N-1 and n0 = 0..N-1, every coherent
+    state of width `default_width(N)`. One center's value is
+    abs(np.vdot(coherent_state(N, theta0, n0), psi)) ** 2.
     """
     psi = as_state(state)
     N = psi.size
-    envelope = _wrapped_envelope(N, 0.0, a)
+    envelope = _wrapped_envelope(N, 0.0)
     amp = 1.0 / np.linalg.norm(envelope)
     # row n0: the envelope moved to its center, doubled[N - n0 : 2N - n0], times psi
     doubled = np.concatenate([envelope, envelope])

@@ -168,14 +168,14 @@ def wrap_momentum(p):
     return x[()]
 
 
-def stdmap_advance(theta, p, K: float, t: int, wrap_p: bool = True):
+def stdmap_advance(theta, p, K: float, t: int):
     """Advance (theta, p) ensembles of one shape t map steps; returns float64
     copies.
 
     Each step is p += K sin(theta), theta = wrap_theta(theta + p), then
-    p = wrap_momentum(p) when wrap_p is set. The copies are updated in place
-    with the same operations in the same order, so the bits equal those of
-    the plain expressions, and a step allocates nothing.
+    p = wrap_momentum(p). The copies are updated in place with the same
+    operations in the same order, so the bits equal those of the plain
+    expressions, and a step allocates nothing.
     """
     theta = np.array(theta, dtype=np.float64)
     p = np.array(p, dtype=np.float64)
@@ -188,8 +188,7 @@ def stdmap_advance(theta, p, K: float, t: int, wrap_p: bool = True):
         p += s
         theta += p
         _wrap(theta, below, above, s)
-        if wrap_p:
-            p += math.pi
-            _wrap(p, below, above, s)
-            p -= math.pi
+        p += math.pi
+        _wrap(p, below, above, s)
+        p -= math.pi
     return theta, p

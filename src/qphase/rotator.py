@@ -142,8 +142,11 @@ def _fft(a: np.ndarray, tw: np.ndarray, permuted: bool) -> None:
     np.fft.fft(a, axis=1 - first, norm="ortho", out=a)
 
 
-def _evolved(state, params: RotatorParams, t: int) -> np.ndarray:
-    """A copy of state advanced by t kicks, each in place on one (N1, N2) buffer."""
+def evolve(state, params: RotatorParams, t: int) -> np.ndarray:
+    """A copy of state advanced by t kick periods (t = 0 returns a copy),
+    each kick in place on one (N1, N2) buffer."""
+    if t < 0:
+        raise QPhaseError("invalid-parameter", f"iteration count must be >= 0, got {t}")
     src = np.asarray(state)
     if src.shape != (params.N,):
         raise QPhaseError("invalid-dimension",
@@ -174,15 +177,3 @@ def _evolved(state, params: RotatorParams, t: int) -> np.ndarray:
     _fft(a, tw, permuted)
     np.conjugate(a, out=a)
     return a.reshape(-1)
-
-
-def step(state, params: RotatorParams) -> np.ndarray:
-    """One kick period."""
-    return _evolved(state, params, 1)
-
-
-def evolve(state, params: RotatorParams, t: int) -> np.ndarray:
-    """t kick periods (t = 0 returns a copy)."""
-    if t < 0:
-        raise QPhaseError("invalid-parameter", f"iteration count must be >= 0, got {t}")
-    return _evolved(state, params, t)

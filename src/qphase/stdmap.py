@@ -70,18 +70,8 @@ def evolve_ensemble(ens: ClassicalEnsemble, t: int) -> ClassicalEnsemble:
     """t composed map iterations, coordinates wrapped (t = 0 returns copies)."""
     if t < 0:
         raise QPhaseError("invalid-parameter", f"iteration count must be >= 0, got {t}")
-    theta, p = kernels.stdmap_advance(ens.theta, ens.p, ens.K, t, wrap_p=True)
+    theta, p = kernels.stdmap_advance(ens.theta, ens.p, ens.K, t)
     return ClassicalEnsemble(theta, p, ens.K)
-
-
-def unwrapped_momentum_spread(ens: ClassicalEnsemble, t: int) -> float:
-    """Standard deviation of p after t steps with NO momentum wrapping.
-
-    Diffusion probe: wrapped p saturates at the cell width, unwrapped p keeps
-    growing in the chaotic regime.
-    """
-    _, p = kernels.stdmap_advance(ens.theta, ens.p, ens.K, t, wrap_p=False)
-    return float(np.std(p))
 
 
 def histogram_density(ens: ClassicalEnsemble, n_theta: int, n_p: int) -> np.ndarray:

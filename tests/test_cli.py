@@ -109,8 +109,11 @@ def test_scan_command_csv_and_fit(tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["scan", "husimi", "--K", "2", "--t", "5", "--fit-range", "4:8",
                  "--out", str(out)]) == 0
-    report = capsys.readouterr().out
-    assert "fit on xi_raw" in report and "exponent" in report
+    report = capsys.readouterr().out.splitlines()
+    # both fits, raw first, three lines each
+    assert report[0] == "fit on xi_raw over n_q in [4, 8]:"
+    assert report[3] == "fit on xi_wavelet over n_q in [4, 8]:"
+    assert len(report) == 6 and all("exponent" in report[i] for i in (1, 4))
     lines = (out / "scan.csv").read_text().splitlines()
     assert lines[0] == "K,n_q,xi_raw,xi_wavelet,R,S"
     rows = [ln.split(",") for ln in lines[1:]]
@@ -131,9 +134,10 @@ def test_scan_is_deterministic(tmp_path):
 
 def test_scan_image_distribution(tmp_path, capsys):
     out = tmp_path / "im"
-    assert main(["scan", "image", "--fit-range", "6:10", "--wavelet",
+    assert main(["scan", "image", "--fit-range", "6:10",
                  "--image", "spots", "--out", str(out)]) == 0
-    assert "fit on xi_wavelet" in capsys.readouterr().out
+    report = capsys.readouterr().out
+    assert "fit on xi_raw" in report and "fit on xi_wavelet" in report
     lines = (out / "scan.csv").read_text().splitlines()
     assert [int(ln.split(",")[1]) for ln in lines[1:]] == [6, 8, 10]
 
@@ -152,19 +156,30 @@ def test_scan_empty_range_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def _rows_run(monkeypatch) -> list:
+    """Record every scan row that starts instead of running it."""
+    computed = []
+    for name in ("wigner_scan_row", "husimi_scan_row", "image_scan_row"):
+        monkeypatch.setattr(analysis, name, lambda *args: computed.append(args))
+    monkeypatch.setattr(imageio, "corpus_image", lambda *args: computed.append(args))
+    return computed
+
+
+def _kicks(distribution, K, t) -> list:
+    # only the rotator scans take a kick strength and a kick count
+    return [] if distribution == "image" else ["--K", K, "--t", t]
+
+
 @pytest.mark.parametrize("distribution, fit_range", [
     ("husimi", "14:16"), ("wigner", "5:6"), ("image", "6:8")])
 def test_scan_refuses_a_range_too_short_to_fit_before_any_row(tmp_path, monkeypatch,
                                                               distribution, fit_range):
     # the fit needs three rows; fewer is refused before any row runs or any
     # file is written
-    computed = []
-    for name in ("wigner_scan_row", "husimi_scan_row", "image_scan_row"):
-        monkeypatch.setattr(analysis, name, lambda *args: computed.append(args))
-    monkeypatch.setattr(imageio, "corpus_image", lambda *args: computed.append(args))
+    computed = _rows_run(monkeypatch)
     out = tmp_path / "short"
-    code = main(["scan", distribution, "--K", "2", "--t", "1000", "--fit-range", fit_range,
-                 "--out", str(out)])
+    code = main(["scan", distribution, *_kicks(distribution, "2", "1000"),
+                 "--fit-range", fit_range, "--out", str(out)])
     assert code == 2
     assert computed == []
     assert list(out.iterdir()) == []
@@ -172,13 +187,42 @@ def test_scan_refuses_a_range_too_short_to_fit_before_any_row(tmp_path, monkeypa
 
 def test_rotator_scan_needs_kick_strength_and_count(tmp_path):
     # without --K and --t a rotator scan would fit the unevolved state at K = 0
+    out = tmp_path / "none"
     for flags in ([], ["--K", "2"], ["--t", "10"]):
-        out = tmp_path / "none"
-        assert main(["scan", "wigner", *flags, "--fit-range", "5:7",
-                     "--out", str(out)]) == 2
-        assert main(["scan", "husimi", *flags, "--fit-range", "4:8",
-                     "--out", str(out)]) == 2
-        assert not out.exists()
+        for distribution in ("wigner", "husimi"):
+            _rejected_with_exit_2(["scan", distribution, *flags, "--fit-range", "4:8",
+                                   "--out", str(out)])
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("distribution, foreign", [
+    ("wigner", "--tile=16"), ("wigner", "--image=spots"), ("husimi", "--tile=16"),
+    ("husimi", "--image=spots"), ("husimi", "--wavelet"), ("image", "--K=2"),
+    ("image", "--t=10"), ("image", "--wavelet")])
+def test_scan_rejects_options_of_another_distribution(tmp_path, monkeypatch,
+                                                      distribution, foreign):
+    # each distribution takes only the options its rows read; another
+    # distribution's option is a usage error before any row runs
+    computed = _rows_run(monkeypatch)
+    out = tmp_path / "foreign"
+    _rejected_with_exit_2(["scan", distribution, *_kicks(distribution, "2", "10"),
+                           "--fit-range", "4:8", foreign, "--out", str(out)])
+    assert computed == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["wigner", "--K", "2", "--t", "3", "--fit-range", "3:5"], {"K": 2.0, "t": 3}),
+    (["husimi", "--K", "0.5", "--t", "3", "--fit-range", "4:8"], {"K": 0.5, "t": 3}),
+    (["image", "--fit-range", "8:12", "--tile", "16", "--image", "spots"],
+     {"tile": 16, "image": "spots"}),
+    (["image", "--fit-range", "6:10"], {"tile": 0, "image": "portrait"})])
+def test_scan_manifest_records_exactly_the_options_read(tmp_path, argv, read):
+    out = tmp_path / "m"
+    assert main(["scan", *argv, "--out", str(out)]) == 0
+    lo, hi = argv[argv.index("--fit-range") + 1].split(":")
+    expect = {"distribution": argv[0], "range": [int(lo), int(hi)], **read}
+    assert read_manifest(out)["parameters"] == expect
 
 
 def test_scan_image_above_register_cap_is_a_resource_error(tmp_path):
@@ -191,14 +235,11 @@ def test_scan_image_above_register_cap_is_a_resource_error(tmp_path):
     ("image", "16:24"), ("husimi", "18:24"), ("wigner", "20:23")])
 def test_scan_refuses_a_range_above_the_cap_before_any_row(tmp_path, monkeypatch,
                                                            distribution, fit_range):
-    computed = []
-    for name in ("wigner_scan_row", "husimi_scan_row", "image_scan_row"):
-        monkeypatch.setattr(analysis, name, lambda *args: computed.append(args))
-    monkeypatch.setattr(imageio, "corpus_image", lambda *args: computed.append(args))
+    computed = _rows_run(monkeypatch)
     out = tmp_path / "big"
     start = time.monotonic()
-    code = main(["scan", distribution, "--K", "1", "--t", "1", "--fit-range", fit_range,
-                 "--out", str(out)])
+    code = main(["scan", distribution, *_kicks(distribution, "1", "1"),
+                 "--fit-range", fit_range, "--out", str(out)])
     assert code == 3
     assert time.monotonic() - start < 1.0
     assert computed == []
@@ -312,6 +353,15 @@ def test_amplify_resource_limit_exit_code(capsys):
                  "--region", "0:2,0:2"]) == 3
 
 
+def test_husimi_odd_qubit_count_refused_before_evolving(tmp_path, monkeypatch):
+    evolved = []
+    monkeypatch.setattr(rotator, "evolve", lambda *args: evolved.append(args))
+    out = tmp_path / "odd"
+    assert main(["husimi", "--K", "2", "--nq", "17", "--t", "1000", "--out", str(out)]) == 2
+    assert evolved == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, n_q", [("wigner", "100"), ("husimi", "64")])
 def test_huge_register_is_a_resource_error(tmp_path, command, n_q):
     out = tmp_path / "o"
@@ -333,6 +383,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_amplify_region_bounds_checked(capsys):
     assert main(["amplify", "--K", "0.5", "--nq", "3", "--t", "0",
                  "--region", "0:99,0:2"]) == 2
+
+
+def test_amplify_region_refused_before_the_pipeline(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(wigner, "wigner_register_pipeline", lambda *args: ran.append(args))
+    out = tmp_path / "amp"
+    assert main(["amplify", "--K", "2", "--nq", "10", "--t", "1000",
+                 "--region", "0:5000,0:8", "--out", str(out)]) == 2
+    assert ran == []
+    assert not out.exists()
 
 
 def test_amplify_single_cell_region(capsys):

@@ -67,9 +67,6 @@ def test_coherent_state_basics():
     phi = husimi.coherent_state(N, 0.7, 40.0)
     assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
     assert husimi.default_width(N) == pytest.approx(np.sqrt(N / (4 * np.pi)))
-    with pytest.raises(QPhaseError) as err:
-        husimi.coherent_state(N, 0.0, 0.0, a=0.0)
-    assert err.value.category == "invalid-parameter"
     ref = oracles.brute_coherent(N, 0.7, 40.0, husimi.default_width(N))
     assert np.max(np.abs(phi - ref)) < 1e-13
 

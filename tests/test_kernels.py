@@ -13,8 +13,8 @@ TWO_PI = 2 * np.pi
 
 
 def test_stdmap_advance_is_the_documented_step_bit_for_bit():
-    # p += K sin(theta), theta = wrap(theta + p), p = wrap(p) when wrapping
-    # is on; the same numpy operations in the same order give the same bits.
+    # p += K sin(theta), theta = wrap(theta + p), p = wrap(p); the same numpy
+    # operations in the same order give the same bits.
     # K = 20 sends theta + p outside [-2 pi, 4 pi), so the wrap's np.remainder
     # fallback runs inside the loop as well
     rng = np.random.default_rng(2)
@@ -22,15 +22,13 @@ def test_stdmap_advance_is_the_documented_step_bit_for_bit():
     p0 = rng.uniform(-np.pi, np.pi, size=1000)
     two_pi = 2 * np.pi
     for K in (1.3, 20.0):
-        for wrap in (True, False):
-            theta, p = theta0, p0
-            for _ in range(20):
-                p = p + K * np.sin(theta)
-                theta = (theta + p) % two_pi
-                if wrap:
-                    p = (p + np.pi) % two_pi - np.pi
-            got_theta, got_p = kernels.stdmap_advance(theta0, p0, K, 20, wrap)
-            assert np.array_equal(got_theta, theta) and np.array_equal(got_p, p), (K, wrap)
+        theta, p = theta0, p0
+        for _ in range(20):
+            p = p + K * np.sin(theta)
+            theta = (theta + p) % two_pi
+            p = (p + np.pi) % two_pi - np.pi
+        got_theta, got_p = kernels.stdmap_advance(theta0, p0, K, 20)
+        assert np.array_equal(got_theta, theta) and np.array_equal(got_p, p), K
 
 
 def _bits(x):

@@ -85,18 +85,10 @@ def test_zero_kick_only_rotates_phases():
     for n0 in (0, 3, 11):
         psi = np.zeros(params.N, dtype=complex)
         psi[n0] = 1.0
-        out = rotator.step(psi, params)
+        out = rotator.evolve(psi, params, 1)
         expect = np.exp(-0.5j * params.T * n0 ** 2)
         assert abs(out[n0] - expect) < 1e-12
         assert np.linalg.norm(np.delete(out, n0)) < 1e-12
-
-
-def test_step_matches_dense_matrix():
-    for K in (0.5, 2.0):
-        params = rotator.RotatorParams(n_q=4, K=K)
-        mat = oracles.dense_step_matrix(params.N, K)
-        psi = oracles.random_state(params.N, seed=10)
-        assert np.max(np.abs(rotator.step(psi, params) - mat @ psi)) < 1e-10
 
 
 @pytest.mark.parametrize("n_q", range(1, 8))
@@ -106,7 +98,7 @@ def test_step_matches_dense_matrix_every_small_register(n_q, K):
     params = rotator.RotatorParams(n_q=n_q, K=K)
     mat = oracles.dense_step_matrix(params.N, K)
     psi = oracles.random_state(params.N, seed=20 + n_q)
-    assert np.max(np.abs(rotator.step(psi, params) - mat @ psi)) < 1e-12
+    assert np.max(np.abs(rotator.evolve(psi, params, 1) - mat @ psi)) < 1e-12
 
 
 @pytest.mark.parametrize("n_q", range(1, 8))
@@ -187,7 +179,7 @@ def test_double_register_evolution_factorizes():
     joint_op = np.kron(mat, mat.conj())
     psi = oracles.random_state(params.N, seed=12)
     joint = np.kron(psi, psi.conj())
-    u = rotator.step(psi, params)
+    u = rotator.evolve(psi, params, 1)
     v = u.conj()
     assert np.max(np.abs(np.kron(u, v) - joint_op @ joint)) < 1e-10
 
@@ -195,7 +187,7 @@ def test_double_register_evolution_factorizes():
 def test_step_rejects_wrong_length():
     params = rotator.RotatorParams(n_q=3, K=1.0)
     with pytest.raises(QPhaseError) as err:
-        rotator.step(np.zeros(4, dtype=complex), params)
+        rotator.evolve(np.zeros(4, dtype=complex), params, 1)
     assert err.value.category == "invalid-dimension"
 
 
@@ -217,7 +209,7 @@ def test_evolve_is_additive_in_time():
 def test_norm_preserved_per_step_and_long_run():
     params = rotator.RotatorParams(n_q=7, K=0.5)
     psi = rotator.initial_band_state(params)
-    one = rotator.step(psi, params)
+    one = rotator.evolve(psi, params, 1)
     assert abs(np.linalg.norm(one) - 1.0) < 1e-12
     long = rotator.evolve(psi, params, 1000)
     assert abs(np.linalg.norm(long) - 1.0) < 1e-10

@@ -117,20 +117,23 @@ def test_histogram_rejects_empty_bins():
     assert err.value.category == "invalid-parameter"
 
 
+def _occupied_momentum_bins(K: float, seed: int) -> float:
+    # share of the 64 momentum bins the band reaches after 1000 kicks
+    ens = stdmap.evolve_ensemble(stdmap.initial_band(K, count=2000, seed=seed), 1000)
+    return float(np.count_nonzero(stdmap.histogram_density(ens, 1, 64))) / 64
+
+
 def test_band_stays_bounded_in_mixed_regime():
-    # K = 0.5 is far below the last-invariant-curve breakup, so wrapped and
-    # unwrapped momentum spreads agree: trajectories stay trapped between tori
-    ens = stdmap.initial_band(0.5, count=2000, seed=8)
-    spread = stdmap.unwrapped_momentum_spread(ens, 1000)
-    assert spread < 2 * np.pi
+    # K = 0.5 is far below the last-invariant-curve breakup: trajectories stay
+    # trapped between tori, so the band keeps to about a third of the cell
+    for seed in (8, 9, 10, 11):
+        assert _occupied_momentum_bins(0.5, seed) < 0.5, seed
 
 
 def test_chaotic_spread_exceeds_mixed_spread():
-    ens_low = stdmap.initial_band(0.5, count=2000, seed=9)
-    ens_high = stdmap.initial_band(2.0, count=2000, seed=9)
-    s_low = stdmap.unwrapped_momentum_spread(ens_low, 1000)
-    s_high = stdmap.unwrapped_momentum_spread(ens_high, 1000)
-    assert s_high > s_low
+    # K = 2 is past the breakup: the band diffuses over the whole cell
+    for seed in (8, 9, 10, 11):
+        assert _occupied_momentum_bins(2.0, seed) > 0.9, seed
 
 
 def test_initial_band_is_seed_reproducible():
