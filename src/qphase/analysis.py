@@ -84,8 +84,10 @@ def wigner_ipr(values) -> float:
 def entropy(weights) -> float:
     """Shannon entropy in bits of a weight vector, renormalized internally.
 
-    One normalized copy is made; p ln p is then taken in place on it, one
-    block at a time, as p ln(p + [p = 0]), so a zero weight gives 0 ln 1 = 0.
+    One normalized copy is made, one block at a time through
+    `kernels.split`, and p ln p is taken in place on each block as
+    p ln(p + [p = 0]), so a zero weight gives 0 ln 1 = 0. The terms are then
+    summed in one pass over the whole copy.
     """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if np.any(w < 0):
@@ -95,14 +97,20 @@ def entropy(weights) -> float:
         raise QPhaseError("degenerate-input", "all weights are zero")
     if abs(total - 1.0) > 1e-8:
         warnings.warn(f"weights sum to {total:.6g}; renormalizing")
-    p = w / total
-    buf = np.empty(min(p.size, kernels.BLOCK))
-    for start in range(0, p.size, kernels.BLOCK):
-        chunk = p[start:start + kernels.BLOCK]
-        ln = buf[:chunk.size]
-        np.add(chunk, chunk == 0.0, out=ln)
-        np.log(ln, out=ln)
-        chunk *= ln
+    p = np.empty_like(w)
+
+    def terms(blocks) -> list:
+        buf = np.empty(max(block.stop - block.start for block in blocks))
+        for block in blocks:
+            chunk = p[block]
+            np.divide(w[block], total, out=chunk)
+            ln = buf[:chunk.size]
+            np.add(chunk, chunk == 0.0, out=ln)
+            np.log(ln, out=ln)
+            chunk *= ln
+        return []
+
+    kernels.split(terms, kernels.cuts(p.size, kernels.BLOCK))
     return -float(np.sum(p)) / math.log(2.0)
 
 

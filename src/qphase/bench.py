@@ -1,6 +1,8 @@
 """Timing of the hot kernels.
 
-Run as `python -m qphase.bench`. Reports the median over five fresh
+Run as `python -m qphase.bench`. Its first line is the number of usable
+cores that `kernels.split` reads, which says whether the chunk loops below
+ran on two threads or inline. Then it reports the median over five fresh
 processes of `import qphase.cli`, with the number of scipy modules it
 loaded (0: numpy is the one runtime dependency). Then the median of three
 passes for the kicked-rotator evolution at n_q = 16, with its minor page
@@ -142,6 +144,9 @@ def _csv_case(grid):
 
 
 def main() -> None:
+    cores = kernels.usable_cores()
+    path = "halves on two threads" if cores > 1 else "inline, no helper thread"
+    print(f"{'usable cores':34s}  {cores}: split chunk loops run {path}")
     seconds, scipy_modules = _cli_import()
     print(f"{'import qphase.cli (fresh process)':34s}  numpy: {seconds:8.4f}s"
           f"  scipy modules: {scipy_modules}")

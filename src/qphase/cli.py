@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, husimi, imageio, measurement, rotator, stdmap, wavelet, wigner
+from . import (__version__, analysis, husimi, imageio, kernels, measurement, rotator, stdmap,
+               wavelet, wigner)
 from .errors import QPhaseError
 from .statevec import check_register
 
@@ -185,7 +185,7 @@ def _scan_rows(args):
         check_register(n_max, f"a {side}x{side} corpus image")
     else:
         rotator.RotatorParams(n_q=n_max, K=args.K)
-    with ThreadPoolExecutor(max_workers=min(len(todo), os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(todo), kernels.usable_cores())) as pool:
         rows = list(pool.map(worker, todo))
     return sorted(rows, key=lambda r: (r.K, r.n_q))
 
@@ -272,9 +272,14 @@ def cmd_amplify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qphase",
+    # no prefix abbreviations anywhere: `reconstruct --t 16` would otherwise
+    # read as --tile, while --t is the kick count of the rotator commands
+    p = argparse.ArgumentParser(prog="qphase", allow_abbrev=False,
                                 description="phase-space distributions of the kicked rotator")
     sub = p.add_subparsers(dest="command", required=True)
+
+    def command(name, text):
+        return sub.add_parser(name, help=text, allow_abbrev=False)
 
     def common(sp, *, nq=False, K=False, t=False, seed=False, out=False):
         if K:
@@ -290,28 +295,27 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             sp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("classical", help="standard-map phase portraits")
+    sp = command("classical", "standard-map phase portraits")
     common(sp, t=True, seed=True, out=True, K=True)
     sp.add_argument("--shots", type=int, default=stdmap.DEFAULT_ENSEMBLE_SIZE,
                     help="ensemble size")
     sp.set_defaults(func=cmd_classical)
 
-    sp = sub.add_parser("wigner", help="Wigner grid of the evolved band state")
+    sp = command("wigner", "Wigner grid of the evolved band state")
     common(sp, nq=True, K="req", t=True, out=True)
     sp.set_defaults(func=cmd_wigner)
 
-    sp = sub.add_parser("husimi", help="modified Husimi grid of the evolved band state")
+    sp = command("husimi", "modified Husimi grid of the evolved band state")
     common(sp, nq=True, K="req", t=True, out=True)
     sp.set_defaults(func=cmd_husimi)
 
-    sp = sub.add_parser("scan", help="localization scan over qubit counts")
+    sp = command("scan", "localization scan over qubit counts")
     sp.set_defaults(func=cmd_scan)
     dist = sp.add_subparsers(dest="distribution", required=True)
     scans = {"wigner": "Wigner grids of the evolved band state",
              "husimi": "modified Husimi grids of the evolved band state (even n_q)",
              "image": "a corpus image as an amplitude register (even n_q)"}
     for name, text in scans.items():
-        # no abbreviations: `scan image --t 10` would otherwise read as --tile
         dp = dist.add_parser(name, help=text, allow_abbrev=False)
         if name == "image":
             dp.add_argument("--tile", type=int, default=0, help="tile size for the transform")
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inclusive qubit-count range to scan and fit")
         dp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("reconstruct", help="sparse reconstruction of a PGM image")
+    sp = command("reconstruct", "sparse reconstruction of a PGM image")
     sp.add_argument("image", help="input PGM path")
     sp.add_argument("--method", choices=("topk", "montecarlo"), required=True)
     sp.add_argument("--k", type=int, required=True, help="coefficient or sample budget")
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_reconstruct)
 
-    sp = sub.add_parser("amplify", help="amplify a register-grid region")
+    sp = command("amplify", "amplify a register-grid region")
     common(sp, nq=True, K="req", t=True)
     sp.add_argument("--region", type=_region, required=True, metavar="t0:t1,n0:n1",
                     help="half-open grid rectangle to amplify")

@@ -1,9 +1,19 @@
 """Hot numeric kernels: the 4-tap wavelet level stencil, the blocked sums
-of squares and fourth powers, and the classical map ensemble advance.
+of squares and fourth powers, the classical map ensemble advance, and the
+one helper that runs a loop over independent pieces on two cores.
 
 All are numpy only. The D4 stencil works along any axis, so 2D transforms
-need no transposes. The map advance is one loop of whole-array updates, and
-the cell wrap it applies (`wrap_theta`, `wrap_momentum`) is defined here once.
+need no transposes. The map advance is one loop of array updates on each
+cache-sized piece of the ensemble, and the cell wrap it applies
+(`wrap_theta`, `wrap_momentum`) is defined here once.
+
+`split` runs the first half of a list of independent pieces in the caller
+and the second half in one persistent helper thread, started on first use,
+so loops whose numpy calls release the interpreter lock use a second core.
+It runs everything inline when the process may use one CPU (`usable_cores`),
+when there is one piece, or when the helper is busy with another caller.
+Its callers compute each output element from one piece alone, so every
+result is bit for bit the same on either path.
 
 Filter taps: h = ((1+r3), (3+r3), (3-r3), (1-r3)) / (4 sqrt 2) with r3=sqrt 3,
 g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
@@ -13,6 +23,9 @@ g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -26,6 +39,100 @@ def numba_active() -> bool:
     """Always False: the map has one numpy loop. The benchmark
     (`perfbench/worker.py`) reads it to record the run's kernel path."""
     return False
+
+
+def usable_cores() -> int:
+    """The number of CPUs this process may run on: its affinity mask, so a
+    `taskset` limit counts, or os.cpu_count() where there is no mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# the helper thread's job queue, made when the helper starts; `_busy` is
+# held by the one caller whose second half the helper runs
+_jobs = None
+_busy = threading.Lock()
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get()()
+
+
+def _forget_helper() -> None:
+    # a forked child has no helper thread: it starts its own on first use
+    # instead of queueing work for the parent's
+    global _jobs, _busy
+    _jobs = None
+    _busy = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def split(work, pieces) -> list:
+    """work(first half) + work(second half) of the list of pieces.
+
+    work maps a contiguous run of independent pieces to a list, such as one
+    result per piece, or [] when it writes its results in place. The caller
+    runs the first half and the helper thread the second, at the same time.
+    Everything runs inline, as work(pieces), with no thread started, when
+    there is one piece, when the process may use one CPU, or when the helper
+    is already running another caller's half, so a caller never waits for
+    it. An exception from either half is raised once both have stopped.
+    """
+    global _jobs
+    pieces = list(pieces)
+    if len(pieces) < 2 or usable_cores() < 2:
+        return work(pieces)
+    busy = _busy
+    if not busy.acquire(blocking=False):
+        return work(pieces)
+    try:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="qphase-split",
+                             daemon=True).start()
+        mid = (len(pieces) + 1) // 2
+        done = threading.Event()
+        second = []
+
+        def run_second():
+            try:
+                second.append(work(pieces[mid:]))
+            except BaseException as exc:  # raised in the caller, below
+                second.append(exc)
+            finally:
+                done.set()
+
+        _jobs.put(run_second)
+        try:
+            first = work(pieces[:mid])
+        finally:
+            done.wait()
+        if isinstance(second[0], BaseException):
+            raise second[0]
+        return first + second[0]
+    finally:
+        busy.release()
+
+
+def cuts(n: int, size: int) -> list:
+    """About equal contiguous slices of range(n), each at most `size` long,
+    as pieces for `split`.
+
+    When that gives more than one slice and the process may use two cores,
+    it gives twice as many, half as long: split then runs the two halves of
+    the list at once, each with buffers sized to its pieces, and the two
+    sets together stay the size of the one set an inline run needs.
+    """
+    count = -(-n // size)
+    if count > 1 and usable_cores() > 1:
+        count *= 2
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
 def _along(ndim: int, axis: int, sl: slice) -> tuple:
@@ -92,7 +199,8 @@ def d4_synthesize(a: np.ndarray, d: np.ndarray, out: np.ndarray, axis: int = -1)
     return out
 
 
-# samples per block of the blocked reductions (square_sums, analysis.entropy)
+# samples per block of the blocked loops (square_sums, analysis.entropy) and
+# most points per piece of the map ensemble
 BLOCK = 1 << 16
 
 
@@ -101,7 +209,9 @@ def square_sums(values) -> tuple:
 
     The squares are taken in blocks of one reused buffer and squared again
     in place, so no field-sized temporary is made; the block sums are added
-    in sequence.
+    in sequence. It runs on one thread: through `split` it took as long on
+    two threads as on one (36-37 ms at 4096^2 on a 2-vCPU machine), and the
+    second block buffer would double what `WignerGrid.total_sq` allocates.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     buf = np.empty(min(flat.size, BLOCK))
@@ -175,20 +285,31 @@ def stdmap_advance(theta, p, K: float, t: int):
     Each step is p += K sin(theta), theta = wrap_theta(theta + p), then
     p = wrap_momentum(p). The copies are updated in place with the same
     operations in the same order, so the bits equal those of the plain
-    expressions, and a step allocates nothing.
+    expressions, and a step allocates nothing. Points never interact, so the
+    ensemble is cut into about equal pieces of at most BLOCK points (`cuts`),
+    and each piece runs all t steps while it is in cache; the two halves of
+    the pieces run through `split` without meeting between steps.
     """
     theta = np.array(theta, dtype=np.float64)
     p = np.array(p, dtype=np.float64)
     K = float(K)
-    # the sine buffer doubles as the wrap's shift buffer
-    below, above, s = _wrap_scratch(theta)
-    for _ in range(int(t)):
-        np.sin(theta, out=s)
-        s *= K
-        p += s
-        theta += p
-        _wrap(theta, below, above, s)
-        p += math.pi
-        _wrap(p, below, above, s)
-        p -= math.pi
+    flat_theta, flat_p = theta.reshape(-1), p.reshape(-1)
+
+    def advance(parts):
+        for part in parts:
+            th, mom = flat_theta[part], flat_p[part]
+            # the sine buffer doubles as the wrap's shift buffer
+            below, above, s = _wrap_scratch(th)
+            for _ in range(int(t)):
+                np.sin(th, out=s)
+                s *= K
+                mom += s
+                th += mom
+                _wrap(th, below, above, s)
+                mom += math.pi
+                _wrap(mom, below, above, s)
+                mom -= math.pi
+        return []
+
+    split(advance, cuts(flat_theta.size, BLOCK))
     return theta, p

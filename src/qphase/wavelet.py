@@ -12,10 +12,15 @@ works in place on the coefficient array: each pass along an axis goes
 through cache-sized chunks of a batch axis, each analysed (or synthesised)
 into a chunk-sized scratch and copied back, so no grid-sized workspace is
 allocated and a 2D transform costs its input plus one coefficient copy.
+A pass of more than one chunk runs the two halves of its chunk list at once
+through `kernels.split`, each half with its own scratch; chunks never share
+an output sample, so the coefficients are the same bits on either path.
+Input checks (`_as_real`) also read the array a block at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +57,14 @@ def _check_levels(length: int, levels, what: str) -> int:
 
 def _as_real(data, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    rows = arr.reshape(1) if arr.ndim == 0 else arr
+
+    def finite(parts) -> list:
+        # about kernels.BLOCK samples at a time: no array-sized bool temporary
+        return [bool(np.isfinite(rows[part]).all()) for part in parts]
+
+    step = max(1, kernels.BLOCK * len(rows) // max(rows.size, 1))
+    if not all(kernels.split(finite, kernels.cuts(len(rows), step))):
         raise QPhaseError("invalid-data", f"{what} contains NaN or Inf")
     return arr
 
@@ -77,15 +89,39 @@ _RUN = 64
 def _chunks(block: np.ndarray, axis: int) -> list:
     """Index tuples that cut block along its longest axis other than `axis`
     into chunks of about _CHUNK samples, at least _RUN entries wide when that
-    axis is the last one; a 1D block is one chunk."""
+    axis is the last one; a 1D block is one chunk. A block of more than one
+    such chunk, on a process that may use two cores, gets chunks of half
+    that size and width (`kernels.cuts`), so the two halves of the list,
+    run at once, hold the scratch of one chunk between them."""
     if block.ndim == 1:
         return [()]
     batch = max((ax for ax in range(block.ndim) if ax != axis), key=lambda ax: block.shape[ax])
     rows = max(1, _CHUNK * block.shape[batch] // block.size)
     if batch == block.ndim - 1:
         rows = max(rows, _RUN)
-    return [kernels._along(block.ndim, batch, slice(i, i + rows))
-            for i in range(0, block.shape[batch], rows)]
+    return [kernels._along(block.ndim, batch, part)
+            for part in kernels.cuts(block.shape[batch], rows)]
+
+
+def _pass(block: np.ndarray, ax: int, forward: bool, parts) -> list:
+    """One level along ax, in place, on the chunks `parts` of block: each
+    chunk is analysed (or synthesised) into one chunk-sized scratch and
+    copied back while it is still in cache."""
+    n = block.shape[ax]
+    low = kernels._along(block.ndim, ax, slice(0, n // 2))
+    high = kernels._along(block.ndim, ax, slice(n // 2, n))
+    scratch = np.empty(0)
+    for part in parts:
+        chunk = block[part]
+        if scratch.size < chunk.size:
+            scratch = np.empty(chunk.size)
+        done = scratch[:chunk.size].reshape(chunk.shape)
+        if forward:
+            kernels.d4_analyze(chunk, (done[low], done[high]), axis=ax)
+        else:
+            kernels.d4_synthesize(chunk[low], chunk[high], done, axis=ax)
+        chunk[...] = done
+    return []
 
 
 def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
@@ -96,30 +132,18 @@ def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
     The forward direction analyzes from the whole block down; the inverse
     synthesizes from the smallest block up, along the axes in reverse order,
     so it undoes the forward run exactly. Each pass along an axis works on
-    cache-sized chunks of a batch axis: a chunk is analysed (or synthesised)
-    into a chunk-sized scratch and copied back while it is still in cache,
+    cache-sized chunks of a batch axis (see `_pass`), and the two halves of
+    its chunk list run through `kernels.split`, each with its own scratch,
     so no grid-sized workspace is allocated.
     """
     sizes = [out.shape[axes[0]] >> i for i in range(levels)]
     if not forward:
         sizes.reverse()
         axes = axes[::-1]
-    scratch = np.empty(0)
     for n in sizes:
         block = _active(out, axes, n)
         for ax in axes:
-            low = kernels._along(block.ndim, ax, slice(0, n // 2))
-            high = kernels._along(block.ndim, ax, slice(n // 2, n))
-            for part in _chunks(block, ax):
-                chunk = block[part]
-                if scratch.size < chunk.size:
-                    scratch = np.empty(chunk.size)
-                done = scratch[:chunk.size].reshape(chunk.shape)
-                if forward:
-                    kernels.d4_analyze(chunk, (done[low], done[high]), axis=ax)
-                else:
-                    kernels.d4_synthesize(chunk[low], chunk[high], done, axis=ax)
-                chunk[...] = done
+            kernels.split(functools.partial(_pass, block, ax, forward), _chunks(block, ax))
     return out
 
 

@@ -17,7 +17,12 @@ so they can verify each other:
   Theta + N share a parity, so one complex FFT of
   (kernel of Theta) + i (kernel of Theta + N) gives both rows: the real part
   is row Theta, the imaginary part row Theta + N. The kernels are products of
-  two sliding windows over psi zero-padded to 3N, one of them reversed.
+  two sliding windows over psi zero-padded to 3N, one of them reversed. The
+  rows are filled in runs of s of at most `kernels.BLOCK` pair samples
+  (`kernels.cuts`), and the two halves of the runs go through
+  `kernels.split`, each with its own run-sized buffers; np.fft gives each
+  row the same bits whatever the batch, so the grid does not depend on the
+  runs.
 
 * `wigner_register_pipeline` simulates the register construction: the first
   register evolves the initial state and transforms it to the angle basis;
@@ -87,7 +92,10 @@ def wigner_direct(state) -> WignerGrid:
     """Evaluate the distribution for an angle-representation state.
 
     Momentum-representation states convert with one forward qft before the
-    call (see wigner_from_momentum).
+    call (see wigner_from_momentum). The pair kernels and row FFTs run in
+    runs of s of at most kernels.BLOCK samples, the two halves of the runs
+    through kernels.split, so an n_q >= 9 grid is filled on two cores; the
+    grid is the same bits on one.
     """
     psi = as_state(state)
     N = psi.size
@@ -102,27 +110,39 @@ def wigner_direct(state) -> WignerGrid:
     right = sliding_window_view(padded, N)[h:h + N + 1]
     n = np.arange(N)
     sign = np.where(n % 2 == 0, 1.0, -1.0) / (2.0 * N)
+    twiddles = [sign * np.exp(-1j * np.pi * q * n / N) for q in (0, 1)]
     values = np.empty((2 * N, 2 * N))
-    pair = np.empty((h, N), dtype=np.complex128)
-    other = np.empty_like(pair)
+
+    def fill(parts) -> list:
+        # each part is a run of s: rows Theta = 2s + q go in the real part of
+        # one FFT and rows Theta + N in the imaginary, for both parities q
+        buffers = np.empty((2, max(part.stop - part.start for part in parts), N),
+                           dtype=np.complex128)
+        for part in parts:
+            lo, hi = part.start, part.stop
+            pair, other = buffers[:, :hi - lo]
+            for q in (0, 1):
+                np.multiply(left[lo:hi], right[q + lo:q + hi], out=pair)
+                np.multiply(left[h + lo:h + hi], right[q + h + lo:q + h + hi], out=other)
+                other *= 1j
+                pair += other
+                np.fft.fft(pair, axis=1, out=pair)
+                pair *= twiddles[q]
+                rows = values[q::2]
+                for dst, half in ((part, pair.real), (slice(h + lo, h + hi), pair.imag)):
+                    rows[dst, :N] = half
+                    if q:
+                        np.negative(rows[dst, :N], out=rows[dst, N:])
+                    else:
+                        rows[dst, N:] = rows[dst, :N]
+        return []
+
+    # runs of at most kernels.BLOCK pair samples, each filled while its two
+    # buffers are in cache
+    kernels.split(fill, kernels.cuts(h, max(1, kernels.BLOCK // N)))
     residue = 0.0
     for q in (0, 1):
-        twiddle = sign * np.exp(-1j * np.pi * q * n / N)
-        # rows Theta = 2s + q (s < N/2) in the real part, Theta + N in the imaginary
-        np.multiply(left[:h], right[q:q + h], out=pair)
-        np.multiply(left[h:], right[q + h:q + N], out=other)
-        other *= 1j
-        pair += other
-        np.fft.fft(pair, axis=1, out=pair)
-        pair *= twiddle
-        rows = values[q::2]
-        rows[:h, :N] = pair.real
-        rows[h:, :N] = pair.imag
-        if q:
-            np.negative(rows[:, :N], out=rows[:, N:])
-        else:
-            rows[:, N:] = rows[:, :N]
-        reference = np.fft.fft(left[h - 1] * right[h - 1 + q]) * twiddle
+        reference = np.fft.fft(left[h - 1] * right[h - 1 + q]) * twiddles[q]
         residue = max(residue, float(np.max(np.abs(reference.imag))))
     return WignerGrid(values=values, N=N, imag_residue=residue)
 

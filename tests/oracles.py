@@ -2,9 +2,11 @@
 
 Everything here is written for clarity, not speed: dense matrices, literal
 double and triple loops over definitions. Tests compare the package against
-these on small sizes. `traced_peak` measures what a call allocates.
+these on small sizes. `traced_peak` measures what a call allocates, and
+`on_both_paths` runs a call with `kernels.split` on two threads and inline.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,34 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def on_both_paths(monkeypatch, fn) -> tuple:
+    """(fn() with kernels.split on two threads, fn() inline, the number of
+    threads that ran split work in the first call).
+
+    The two paths come from patching the core count that split and
+    kernels.cuts read: 2 runs the helper thread even on one CPU, so the
+    threaded path is also tested under `taskset -c 0`; 1 runs inline.
+    """
+    from qphase import kernels
+    split = kernels.split
+    threads = set()
+
+    def recording(work, pieces):
+        def traced(part):
+            threads.add(threading.get_ident())
+            return work(part)
+        return split(traced, pieces)
+
+    monkeypatch.setattr(kernels, "split", recording)
+    monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
+    threaded = fn()
+    ran_on = len(threads)
+    monkeypatch.setattr(kernels, "usable_cores", lambda: 1)
+    inline = fn()
+    monkeypatch.setattr(kernels, "split", split)
+    return threaded, inline, ran_on
 
 
 def random_state(n: int, seed: int) -> np.ndarray:

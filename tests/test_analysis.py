@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qphase import analysis, rotator, wavelet, wigner
+from qphase import analysis, kernels, rotator, wavelet, wigner
 from qphase.errors import QPhaseError
 
 
@@ -246,3 +246,21 @@ def test_chaotic_wavelet_compression_is_strong():
     raw = analysis.fit_scaling([(n, row.xi_raw) for n, row in pts])
     assert 0.0 <= wav.exponent < 0.25
     assert wav.exponent < raw.exponent
+
+
+def test_split_entropy_is_bit_identical_to_the_inline_entropy(monkeypatch):
+    rng = np.random.default_rng(19)
+    w = rng.uniform(size=3 * kernels.BLOCK + 5)
+    w[::3] = 0.0
+    w /= w.sum()
+    two, one, threads = oracles.on_both_paths(monkeypatch, lambda: analysis.entropy(w))
+    assert two == one and threads == 2
+
+
+def test_one_chunk_rows_run_inline(monkeypatch):
+    # a 256^2 Husimi grid and every array of an n_q = 5 Wigner row are one
+    # chunk or block each, so no split call hands the helper any work
+    for row in (lambda: analysis.husimi_scan_row(2.0, 16, 3),
+                lambda: analysis.wigner_scan_row(2.0, 5, 10)):
+        two, one, threads = oracles.on_both_paths(monkeypatch, row)
+        assert two == one and threads == 1

@@ -453,3 +453,42 @@ def test_property_region_is_valid_or_usage_error(text):
                                f"--region={text}"])
         return
     assert 0 <= r0 < r1 and 0 <= c0 < c1
+
+
+def test_abbreviated_option_is_a_usage_error(tmp_path):
+    # `--t` is the kick count of the rotator commands; reconstruct must not
+    # read it as a prefix of --tile
+    src = tmp_path / "p.pgm"
+    imageio.save_pgm(imageio.synthetic_corpus(64)["portrait"], src)
+    out = tmp_path / "r"
+    _rejected_with_exit_2(["reconstruct", str(src), "--method", "topk", "--k", "100",
+                           "--t", "16", "--out", str(out)])
+    assert not out.exists()
+    for argv in (["wigner", "--n", "4", "--K", "2", "--t", "1", "--out", str(out)],
+                 ["classical", "--t", "1", "--seed", "1", "--sh", "10", "--out", str(out)],
+                 ["amplify", "--nq", "3", "--K", "2", "--t", "0", "--reg", "0:1,0:1"],
+                 ["scan", "husimi", "--K", "2", "--t", "1", "--fit", "4:8", "--out", str(out)]):
+        _rejected_with_exit_2(argv)
+
+
+def test_full_spellings_of_the_benchmark_commands_parse(tmp_path):
+    # every option spelled out in full, as perfbench/workloads.py passes them
+    pgm, out = str(tmp_path / "p.pgm"), str(tmp_path / "o")
+    parser = cli.build_parser()
+    for argv, expect in (
+            (["wigner", "--nq", "9", "--K", "2", "--t", "100"], {"nq": 9, "K": 2.0, "t": 100}),
+            (["classical", "--K", "2", "--t", "200", "--shots", "100000", "--seed", "7"],
+             {"K": 2.0, "t": 200, "shots": 100000, "seed": 7}),
+            (["reconstruct", pgm, "--method", "topk", "--k", "2500"],
+             {"image": pgm, "method": "topk", "k": 2500, "tile": 0}),
+            (["reconstruct", pgm, "--method", "topk", "--tile", "16", "--k", "2500"],
+             {"tile": 16, "k": 2500}),
+            (["reconstruct", pgm, "--method", "montecarlo", "--k", "2500", "--seed", "5"],
+             {"method": "montecarlo", "seed": 5}),
+            (["amplify", "--nq", "7", "--K", "2", "--t", "100", "--region", "16:32,0:16"],
+             {"nq": 7, "region": (16, 32, 0, 16)}),
+            (["scan", "husimi", "--K", "0.9", "--t", "1003", "--fit-range", "8:14"],
+             {"distribution": "husimi", "K": 0.9, "t": 1003, "fit_range": (8, 14)})):
+        args = vars(parser.parse_args(argv + ["--out", out]))
+        assert args["out"] == out
+        assert {key: args[key] for key in expect} == expect, argv

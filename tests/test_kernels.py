@@ -1,7 +1,16 @@
 """The D4 stencil, the cell wrap against numpy's `%`, and the classical map
 advance against its documented step."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -168,3 +177,120 @@ def test_synthesize_writes_into_given_output():
     result = kernels.d4_synthesize(a, d, out, axis=1)
     assert result is out
     assert np.max(np.abs(out - _synthesis_reference(a, d, 1))) < 1e-14
+
+
+def test_split_map_is_bit_identical_to_the_inline_map(monkeypatch):
+    # three pieces inline and six on two threads, of different lengths;
+    # K = 20 takes the wrap's np.remainder fallback in some pieces and steps
+    # and not in others
+    rng = np.random.default_rng(19)
+    theta = rng.uniform(0, TWO_PI, size=2 * kernels.BLOCK + 7)
+    p = rng.uniform(-np.pi, np.pi, size=theta.size)
+    for K in (1.3, 20.0):
+        two, one, threads = oracles.on_both_paths(
+            monkeypatch, lambda: kernels.stdmap_advance(theta, p, K, 6))
+        assert threads == 2
+        for a, b in zip(two, one):
+            assert _bits(a).tobytes() == _bits(b).tobytes()
+
+
+def test_split_returns_per_piece_results_in_order(monkeypatch):
+    monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
+    for count in (0, 1, 2, 5):
+        assert kernels.split(lambda part: [x * x for x in part], range(count)) == \
+            [x * x for x in range(count)]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_cuts_cover_the_range_in_order(monkeypatch, cores):
+    # one slice for one piece's worth; otherwise twice as many, half as
+    # long, when two cores run the halves at once
+    monkeypatch.setattr(kernels, "usable_cores", lambda: cores)
+    for n, size in ((0, 4), (3, 4), (4, 4), (5, 4), (100_000, kernels.BLOCK), (1 << 20, 128)):
+        parts = kernels.cuts(n, size)
+        assert [i for part in parts for i in range(n)[part]] == list(range(n))
+        count = -(-n // size)
+        assert len(parts) == (2 * count if count > 1 and cores > 1 else count)
+        assert all(0 < part.stop - part.start <= size for part in parts)
+
+
+def test_split_raises_after_both_halves_stopped_and_recovers(monkeypatch):
+    monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
+    stopped = []
+
+    def helper_half_fails(part):
+        if part[0] == 2:
+            raise ValueError("helper half")
+        return list(part)
+
+    def caller_half_fails(part):
+        if part[0] == 0:
+            raise ValueError("caller half")
+        time.sleep(0.2)
+        stopped.append(part)
+        return list(part)
+
+    with pytest.raises(ValueError, match="helper half"):
+        kernels.split(helper_half_fails, range(4))
+    with pytest.raises(ValueError, match="caller half"):
+        kernels.split(caller_half_fails, range(4))
+    assert stopped == [[2, 3]]
+    assert kernels.split(list, range(4)) == [0, 1, 2, 3]
+
+
+def _threads_after(code: str) -> int:
+    # threading.active_count() in a fresh interpreter once code has run
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c",
+                          f"import sys, threading; sys.path.insert(0, {src!r})\n{code}\n"
+                          "print(threading.active_count())"],
+                         check=True, capture_output=True, text=True, timeout=120)
+    return int(run.stdout.split()[-1])
+
+
+def test_one_chunk_inputs_never_start_the_helper():
+    assert _threads_after(
+        "from qphase import analysis, kernels\n"
+        "analysis.husimi_scan_row(2.0, 16, 3); analysis.wigner_scan_row(2.0, 5, 10)\n"
+        "kernels.stdmap_advance([0.5] * kernels.BLOCK, [0.1] * kernels.BLOCK, 2.0, 3)") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call")
+def test_one_usable_cpu_never_starts_the_helper():
+    # the process pins itself to one CPU, as `taskset -c 0` does; an n_q = 9
+    # row then runs every split loop inline
+    code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from qphase import analysis, kernels\n"
+            "assert kernels.usable_cores() == 1\n"
+            "analysis.wigner_scan_row(2.0, 9, 10)")
+    assert _threads_after(code) == 1
+    assert _threads_after("from qphase import kernels\n"
+                          "kernels.usable_cores = lambda: 2\n"
+                          "kernels.split(list, range(2))") == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_finishes_a_split_call(monkeypatch):
+    monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
+    kernels.split(list, range(2))  # the parent's helper thread is running
+    pid = os.fork()
+    if pid == 0:  # the child has no helper thread until it starts its own
+        status = 1
+        try:
+            threads = set()
+            status = 0 if kernels.split(
+                lambda part: threads.add(threading.get_ident()) or list(part),
+                range(4)) == [0, 1, 2, 3] and len(threads) == 2 else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child waited on its parent's helper thread")
+        time.sleep(0.01)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

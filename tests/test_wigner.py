@@ -196,3 +196,11 @@ def test_property_whole_grid_sum_rules_sign_rule_and_ipr(psi):
     assert np.array_equal(values[:, N:], signs * values[:, :N])
     assert analysis.wigner_ipr(values) == pytest.approx(
         1.0 / (N ** 2 * np.sum(values ** 4)), rel=1e-12, abs=0.0)
+
+
+def test_split_grid_is_bit_identical_to_the_inline_grid(monkeypatch):
+    # at n_q 9 the pair kernels form two runs of rows, one per thread
+    psi = oracles.random_state(512, seed=19)
+    two, one, threads = oracles.on_both_paths(monkeypatch, lambda: wigner.wigner_direct(psi))
+    assert two.values.tobytes() == one.values.tobytes() and threads == 2
+    assert two.imag_residue == one.imag_residue
