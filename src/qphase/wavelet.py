@@ -82,17 +82,25 @@ def _active(arr: np.ndarray, axes, n: int) -> np.ndarray:
 _CHUNK = 1 << 16
 # least entries per chunk along a batch axis that is the contiguous last
 # axis: a chunk of columns is iterated in runs of this length, and shorter
-# runs cost more in loop overhead than the cache saves
+# runs cost more in loop overhead than the cache saves. On two cores
+# `kernels.cuts` halves it (see _chunks)
 _RUN = 64
 
 
 def _chunks(block: np.ndarray, axis: int) -> list:
     """Index tuples that cut block along its longest axis other than `axis`
     into chunks of about _CHUNK samples, at least _RUN entries wide when that
-    axis is the last one; a 1D block is one chunk. A block of more than one
-    such chunk, on a process that may use two cores, gets chunks of half
-    that size and width (`kernels.cuts`), so the two halves of the list,
-    run at once, hold the scratch of one chunk between them."""
+    axis is the last one; a 1D block is one chunk.
+
+    A block of more than one such chunk, on a process that may use two
+    cores, gets chunks of half that size and width (`kernels.cuts`), so the
+    two halves of the list, run at once, hold the scratch of one chunk
+    between them. Column chunks of a side of 1024 or more are then 32 wide,
+    below _RUN; that is the price of the memory bound. At 4096^2 on two
+    threads the forward 2D transform took 364 ms with them, 345 ms with
+    64-wide column chunks (which hold twice the scratch: an n_q = 9 Wigner
+    row then peaks at 2.22 grids, above its 2.2-grid bound) and 324 ms with
+    no halving at all (medians of 7 alternated calls on a 2-vCPU machine)."""
     if block.ndim == 1:
         return [()]
     batch = max((ax for ax in range(block.ndim) if ax != axis), key=lambda ax: block.shape[ax])

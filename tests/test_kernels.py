@@ -269,6 +269,33 @@ def test_one_usable_cpu_never_starts_the_helper():
                           "kernels.split(list, range(2))") == 2
 
 
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="malloc arenas are glibc's")
+def test_helper_thread_allocates_from_the_callers_malloc_arena():
+    # glibc's malloc_stats prints one "Arena i:" block per arena; the helper
+    # allocates chunk scratch, but from the main arena, not one of its own
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    code = (f"import sys, ctypes; sys.path.insert(0, {src!r})\n"
+            "import numpy as np\n"
+            "from qphase import kernels\n"
+            "kernels.usable_cores = lambda: 2\n"
+            "kernels.split(lambda part: [float(np.ones(1000 * (i + 1)).sum()) for i in part],"
+            " range(8))\n"
+            "stats = ctypes.CDLL(None).malloc_stats\n"
+            "stats.argtypes, stats.restype = (), None\n"
+            "stats()\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert run.stderr.count("Arena ") == 1, run.stderr
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_forked_child_finishes_a_split_call(monkeypatch):
     monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
