@@ -108,9 +108,8 @@ def entropy(weights) -> float:
             np.add(chunk, chunk == 0.0, out=ln)
             np.log(ln, out=ln)
             chunk *= ln
-        return []
 
-    kernels.split(terms, kernels.cuts(p.size, kernels.BLOCK))
+    kernels.split(terms, p.size, kernels.BLOCK)
     return -float(np.sum(p)) / math.log(2.0)
 
 

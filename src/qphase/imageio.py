@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .errors import ParseError, QPhaseError
 from .measurement import _rng
 from .statevec import check_register
@@ -155,7 +156,7 @@ def render_heatmap(grid, signed: bool, path) -> None:
     v = np.asarray(grid, dtype=np.float64)
     if v.ndim != 2:
         raise QPhaseError("invalid-dimension", f"heatmap needs a 2D grid, got {v.ndim}D")
-    if not np.all(np.isfinite(v)):
+    if not kernels.finite(v):
         raise QPhaseError("invalid-data", "grid contains NaN or Inf")
     if signed:
         m = float(np.max(np.abs(v)))

@@ -1,22 +1,25 @@
 """Hot numeric kernels: the 4-tap wavelet level stencil, the blocked sums
-of squares and fourth powers, the classical map ensemble advance, and the
-one helper that runs a loop over independent pieces on two cores.
+of squares and fourth powers, the classical map ensemble advance, the one
+NaN/inf check, and the one call that runs a loop over independent pieces on
+two cores.
 
 All are numpy only. The D4 stencil works along any axis, so 2D transforms
 need no transposes. The map advance is one loop of array updates on each
 cache-sized piece of the ensemble, and the cell wrap it applies
-(`wrap_theta`, `wrap_momentum`) is defined here once.
+(`wrap_theta`, `wrap_momentum`) is defined here once. `finite` reads an
+array's minimum and maximum, which NaN and inf reach, so it makes no
+array-sized temporary.
 
-`split` runs the first half of a list of independent pieces in the caller
-and the second half in one persistent helper thread, started on first use,
-so loops whose numpy calls release the interpreter lock use a second core.
-It runs everything inline when the process may use one CPU (`usable_cores`),
-when there is one piece, or when the helper is busy with another caller.
-Its callers compute each output element from one piece alone, so every
-result is bit for bit the same on either path. On glibc, starting the
-helper also makes later threads share the process's malloc arena
-(`_share_malloc_arena`), so the helper's scratch reuses pages the caller's
-arena already holds instead of keeping its own.
+`split(work, n, size)` cuts range(n) into slices of at most `size` and runs
+work on them. With more than one slice, two usable CPUs (`usable_cores`)
+and a free helper, the caller runs the first half of twice as many, half as
+long slices and the helper, a one-thread executor made on first use, the
+second half, so loops whose numpy calls release the interpreter lock use a
+second core; otherwise work runs once, inline. Callers compute each output
+element from one slice alone, so every result is bit for bit the same on
+either path. On glibc, starting the helper also makes later threads share
+the process's malloc arena (`_share_malloc_arena`), so the helper's scratch
+reuses pages the caller's arena already holds instead of keeping its own.
 
 Filter taps: h = ((1+r3), (3+r3), (3-r3), (1-r3)) / (4 sqrt 2) with r3=sqrt 3,
 g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 
 import numpy as np
@@ -53,15 +55,10 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# the helper thread's job queue, made when the helper starts; `_busy` is
-# held by the one caller whose second half the helper runs
-_jobs = None
+# the helper, made on first use; `_busy` is held by the one caller whose
+# second half it runs
+_helper = None
 _busy = threading.Lock()
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get()()
 
 
 def _share_malloc_arena() -> None:
@@ -87,10 +84,10 @@ def _share_malloc_arena() -> None:
 
 
 def _forget_helper() -> None:
-    # a forked child has no helper thread: it starts its own on first use
-    # instead of queueing work for the parent's
-    global _jobs, _busy
-    _jobs = None
+    # a forked child's copy of the helper believes its dead thread is idle
+    # and would never run a job: the child makes its own on first use
+    global _helper, _busy
+    _helper = None
     _busy = threading.Lock()
 
 
@@ -98,71 +95,47 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def split(work, pieces) -> list:
-    """work(first half) + work(second half) of the list of pieces.
+def _slices(n: int, count: int) -> list:
+    # count about equal contiguous slices of range(n), in order
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
-    work maps a contiguous run of independent pieces to a list, such as one
-    result per piece, or [] when it writes its results in place. The caller
-    runs the first half and the helper thread the second, at the same time.
-    Everything runs inline, as work(pieces), with no thread started, when
-    there is one piece, when the process may use one CPU, or when the helper
-    is already running another caller's half, so a caller never waits for
-    it. Two CLI scan pool rows and the helper can thus keep three threads
-    busy on two cores for a while; measured, that beat both a pool whose
-    rows never use the helper and rows run one at a time with it. An
+
+def split(work, n: int, size: int) -> None:
+    """Run work(slices) over about equal contiguous slices of range(n), each
+    at most `size` long; work writes its results in place.
+
+    When that gives more than one slice, the process may use two CPUs and
+    the helper thread is free, the slices are twice as many and half as
+    long: the caller runs work on the first half of them and the helper on
+    the second, at the same time, each with buffers sized to its slices, so
+    the two together hold the scratch of one inline run. Otherwise work runs
+    once, inline, on the undoubled slices, so a caller never waits for the
+    helper. Two CLI scan pool rows and the helper can thus keep three
+    threads busy on two cores for a while; measured, that beat both a pool
+    whose rows never use the helper and rows run one at a time with it. An
     exception from either half is raised once both have stopped.
     """
-    global _jobs
-    pieces = list(pieces)
-    if len(pieces) < 2 or usable_cores() < 2:
-        return work(pieces)
+    global _helper
+    count = -(-n // size)
     busy = _busy
-    if not busy.acquire(blocking=False):
-        return work(pieces)
+    if count < 2 or usable_cores() < 2 or not busy.acquire(blocking=False):
+        work(_slices(n, count))
+        return
     try:
-        if _jobs is None:
+        if _helper is None:
             _share_malloc_arena()
-            _jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_jobs,), name="qphase-split",
-                             daemon=True).start()
-        mid = (len(pieces) + 1) // 2
-        done = threading.Event()
-        second = []
-
-        def run_second():
-            try:
-                second.append(work(pieces[mid:]))
-            except BaseException as exc:  # raised in the caller, below
-                second.append(exc)
-            finally:
-                done.set()
-
-        _jobs.put(run_second)
+            # imported here: a process that never splits keeps its import-time memory
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="qphase-split")
+        pieces = _slices(n, 2 * count)
+        second = _helper.submit(work, pieces[count:])
         try:
-            first = work(pieces[:mid])
+            work(pieces[:count])
         finally:
-            done.wait()
-        if isinstance(second[0], BaseException):
-            raise second[0]
-        return first + second[0]
+            second.exception()  # waits for the helper's half
+        second.result()
     finally:
         busy.release()
-
-
-def cuts(n: int, size: int) -> list:
-    """About equal contiguous slices of range(n), each at most `size` long,
-    as pieces for `split`.
-
-    When that gives more than one slice and the process may use two cores,
-    it gives twice as many, half as long: split then runs the two halves of
-    the list at once, each with buffers sized to its pieces, and the two
-    sets together stay the size of the one set an inline run needs. When
-    split finds the helper busy it runs these shorter pieces inline.
-    """
-    count = -(-n // size)
-    if count > 1 and usable_cores() > 1:
-        count *= 2
-    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
 def _along(ndim: int, axis: int, sl: slice) -> tuple:
@@ -256,6 +229,17 @@ def square_sums(values) -> tuple:
     return second, fourth
 
 
+def finite(x) -> bool:
+    """True when x holds no NaN, +inf or -inf; an empty array is finite.
+
+    NaN propagates through both min and max and each infinity is one of
+    them, so two reductions decide it with no temporary. Read a complex
+    array through its float64 view.
+    """
+    x = np.asarray(x)
+    return x.size == 0 or bool(-math.inf < x.min() and x.max() < math.inf)
+
+
 TWO_PI = 2.0 * math.pi
 _FOUR_PI = 2.0 * TWO_PI
 
@@ -316,9 +300,9 @@ def stdmap_advance(theta, p, K: float, t: int):
     p = wrap_momentum(p). The copies are updated in place with the same
     operations in the same order, so the bits equal those of the plain
     expressions, and a step allocates nothing. Points never interact, so the
-    ensemble is cut into about equal pieces of at most BLOCK points (`cuts`),
-    and each piece runs all t steps while it is in cache; the two halves of
-    the pieces run through `split` without meeting between steps.
+    ensemble is cut into about equal pieces of at most BLOCK points by
+    `split`, and each piece runs all t steps while it is in cache; the two
+    halves of the pieces run at once without meeting between steps.
     """
     theta = np.array(theta, dtype=np.float64)
     p = np.array(p, dtype=np.float64)
@@ -339,7 +323,6 @@ def stdmap_advance(theta, p, K: float, t: int):
                 mom += math.pi
                 _wrap(mom, below, above, s)
                 mom -= math.pi
-        return []
 
-    split(advance, cuts(flat_theta.size, BLOCK))
+    split(advance, flat_theta.size, BLOCK)
     return theta, p

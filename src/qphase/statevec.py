@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .errors import QPhaseError
 
 DIRECTIONS = ("forward", "inverse")
@@ -55,7 +56,7 @@ def as_state(amplitudes) -> np.ndarray:
     if psi.ndim != 1:
         raise QPhaseError("invalid-dimension", f"statevector must be 1D, got shape {psi.shape}")
     log2_exact(psi.size, "statevector length")
-    if not np.all(np.isfinite(psi.view(np.float64))):
+    if not kernels.finite(psi.view(np.float64)):
         raise QPhaseError("invalid-state", "statevector contains NaN or Inf")
     norm_sq = float(np.vdot(psi, psi).real)
     if abs(norm_sq - 1.0) > 1e-10:

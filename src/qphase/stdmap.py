@@ -42,7 +42,7 @@ class ClassicalEnsemble:
         self.p = np.asarray(self.p, dtype=np.float64)
         if self.theta.size == 0 or self.theta.shape != self.p.shape:
             raise QPhaseError("invalid-dimension", "ensemble needs matching nonempty theta/p arrays")
-        if not (np.all(np.isfinite(self.theta)) and np.all(np.isfinite(self.p))):
+        if not (kernels.finite(self.theta) and kernels.finite(self.p)):
             raise QPhaseError("invalid-data", "ensemble coordinates must be finite")
 
 

@@ -12,10 +12,9 @@ works in place on the coefficient array: each pass along an axis goes
 through cache-sized chunks of a batch axis, each analysed (or synthesised)
 into a chunk-sized scratch and copied back, so no grid-sized workspace is
 allocated and a 2D transform costs its input plus one coefficient copy.
-A pass of more than one chunk runs the two halves of its chunk list at once
+A pass of more than one chunk runs the two halves of its chunks at once
 through `kernels.split`, each half with its own scratch; chunks never share
 an output sample, so the coefficients are the same bits on either path.
-Input checks (`_as_real`) also read the array a block at a time.
 """
 
 from __future__ import annotations
@@ -57,14 +56,7 @@ def _check_levels(length: int, levels, what: str) -> int:
 
 def _as_real(data, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    rows = arr.reshape(1) if arr.ndim == 0 else arr
-
-    def finite(parts) -> list:
-        # about kernels.BLOCK samples at a time: no array-sized bool temporary
-        return [bool(np.isfinite(rows[part]).all()) for part in parts]
-
-    step = max(1, kernels.BLOCK * len(rows) // max(rows.size, 1))
-    if not all(kernels.split(finite, kernels.cuts(len(rows), step))):
+    if not kernels.finite(arr):
         raise QPhaseError("invalid-data", f"{what} contains NaN or Inf")
     return arr
 
@@ -83,44 +75,45 @@ _CHUNK = 1 << 16
 # least entries per chunk along a batch axis that is the contiguous last
 # axis: a chunk of columns is iterated in runs of this length, and shorter
 # runs cost more in loop overhead than the cache saves. On two cores
-# `kernels.cuts` halves it (see _chunks)
+# `kernels.split` halves it (see _chunks)
 _RUN = 64
 
 
-def _chunks(block: np.ndarray, axis: int) -> list:
-    """Index tuples that cut block along its longest axis other than `axis`
-    into chunks of about _CHUNK samples, at least _RUN entries wide when that
-    axis is the last one; a 1D block is one chunk.
+def _chunks(block: np.ndarray, axis: int) -> tuple:
+    """(batch axis, entries per chunk): block is cut along its longest axis
+    other than `axis` into chunks of about _CHUNK samples, at least _RUN
+    entries wide when that axis is the last one; a 1D block is one chunk,
+    its whole length along axis 0.
 
-    A block of more than one such chunk, on a process that may use two
-    cores, gets chunks of half that size and width (`kernels.cuts`), so the
-    two halves of the list, run at once, hold the scratch of one chunk
-    between them. Column chunks of a side of 1024 or more are then 32 wide,
-    below _RUN; that is the price of the memory bound. At 4096^2 on two
-    threads the forward 2D transform took 364 ms with them, 345 ms with
-    64-wide column chunks (which hold twice the scratch: an n_q = 9 Wigner
-    row then peaks at 2.22 grids, above its 2.2-grid bound) and 324 ms with
-    no halving at all (medians of 7 alternated calls on a 2-vCPU machine)."""
+    A block of more than one such chunk, when `kernels.split` runs the two
+    halves of its chunks at once, gets chunks of half that size and width,
+    so the two halves hold the scratch of one chunk between them. Column
+    chunks of a side of 1024 or more are then 32 wide, below _RUN; that is
+    the price of the memory bound. At 4096^2 on two threads the forward 2D
+    transform took 364 ms with them, 345 ms with 64-wide column chunks
+    (which hold twice the scratch: an n_q = 9 Wigner row then peaks at 2.22
+    grids, above its 2.2-grid bound) and 324 ms with no halving at all
+    (medians of 7 alternated calls on a 2-vCPU machine)."""
     if block.ndim == 1:
-        return [()]
+        return 0, block.size
     batch = max((ax for ax in range(block.ndim) if ax != axis), key=lambda ax: block.shape[ax])
     rows = max(1, _CHUNK * block.shape[batch] // block.size)
     if batch == block.ndim - 1:
         rows = max(rows, _RUN)
-    return [kernels._along(block.ndim, batch, part)
-            for part in kernels.cuts(block.shape[batch], rows)]
+    return batch, rows
 
 
-def _pass(block: np.ndarray, ax: int, forward: bool, parts) -> list:
-    """One level along ax, in place, on the chunks `parts` of block: each
-    chunk is analysed (or synthesised) into one chunk-sized scratch and
-    copied back while it is still in cache."""
+def _pass(block: np.ndarray, ax: int, forward: bool, batch: int, parts) -> None:
+    """One level along ax, in place, on the chunks of block that the slices
+    `parts` cut along its batch axis: each chunk is analysed (or
+    synthesised) into one chunk-sized scratch and copied back while it is
+    still in cache."""
     n = block.shape[ax]
     low = kernels._along(block.ndim, ax, slice(0, n // 2))
     high = kernels._along(block.ndim, ax, slice(n // 2, n))
     scratch = np.empty(0)
     for part in parts:
-        chunk = block[part]
+        chunk = block[kernels._along(block.ndim, batch, part)]
         if scratch.size < chunk.size:
             scratch = np.empty(chunk.size)
         done = scratch[:chunk.size].reshape(chunk.shape)
@@ -129,7 +122,6 @@ def _pass(block: np.ndarray, ax: int, forward: bool, parts) -> list:
         else:
             kernels.d4_synthesize(chunk[low], chunk[high], done, axis=ax)
         chunk[...] = done
-    return []
 
 
 def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
@@ -141,8 +133,8 @@ def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
     synthesizes from the smallest block up, along the axes in reverse order,
     so it undoes the forward run exactly. Each pass along an axis works on
     cache-sized chunks of a batch axis (see `_pass`), and the two halves of
-    its chunk list run through `kernels.split`, each with its own scratch,
-    so no grid-sized workspace is allocated.
+    its chunks run through `kernels.split`, each with its own scratch, so no
+    grid-sized workspace is allocated.
     """
     sizes = [out.shape[axes[0]] >> i for i in range(levels)]
     if not forward:
@@ -151,7 +143,9 @@ def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
     for n in sizes:
         block = _active(out, axes, n)
         for ax in axes:
-            kernels.split(functools.partial(_pass, block, ax, forward), _chunks(block, ax))
+            batch, rows = _chunks(block, ax)
+            kernels.split(functools.partial(_pass, block, ax, forward, batch),
+                          block.shape[batch], rows)
     return out
 
 

@@ -18,11 +18,10 @@ so they can verify each other:
   (kernel of Theta) + i (kernel of Theta + N) gives both rows: the real part
   is row Theta, the imaginary part row Theta + N. The kernels are products of
   two sliding windows over psi zero-padded to 3N, one of them reversed. The
-  rows are filled in runs of s of at most `kernels.BLOCK` pair samples
-  (`kernels.cuts`), and the two halves of the runs go through
-  `kernels.split`, each with its own run-sized buffers; np.fft gives each
-  row the same bits whatever the batch, so the grid does not depend on the
-  runs.
+  rows are filled in runs of s of at most `kernels.BLOCK` pair samples, cut
+  by `kernels.split`, which may run the two halves of the runs at once, each
+  with its own run-sized buffers; np.fft gives each row the same bits
+  whatever the batch, so the grid does not depend on the runs.
 
 * `wigner_register_pipeline` simulates the register construction: the first
   register evolves the initial state and transforms it to the angle basis;
@@ -93,9 +92,9 @@ def wigner_direct(state) -> WignerGrid:
 
     Momentum-representation states convert with one forward qft before the
     call (see wigner_from_momentum). The pair kernels and row FFTs run in
-    runs of s of at most kernels.BLOCK samples, the two halves of the runs
-    through kernels.split, so an n_q >= 9 grid is filled on two cores; the
-    grid is the same bits on one.
+    runs of s of at most kernels.BLOCK samples cut by kernels.split, which
+    runs the two halves of the runs at once, so an n_q >= 9 grid is filled
+    on two cores; the grid is the same bits on one.
     """
     psi = as_state(state)
     N = psi.size
@@ -135,11 +134,10 @@ def wigner_direct(state) -> WignerGrid:
                         np.negative(rows[dst, :N], out=rows[dst, N:])
                     else:
                         rows[dst, N:] = rows[dst, :N]
-        return []
 
     # runs of at most kernels.BLOCK pair samples, each filled while its two
     # buffers are in cache
-    kernels.split(fill, kernels.cuts(h, max(1, kernels.BLOCK // N)))
+    kernels.split(fill, h, max(1, kernels.BLOCK // N))
     residue = 0.0
     for q in (0, 1):
         reference = np.fft.fft(left[h - 1] * right[h - 1 + q]) * twiddles[q]

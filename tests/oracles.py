@@ -27,19 +27,19 @@ def on_both_paths(monkeypatch, fn) -> tuple:
     """(fn() with kernels.split on two threads, fn() inline, the number of
     threads that ran split work in the first call).
 
-    The two paths come from patching the core count that split and
-    kernels.cuts read: 2 runs the helper thread even on one CPU, so the
-    threaded path is also tested under `taskset -c 0`; 1 runs inline.
+    The two paths come from patching the core count that split reads: 2
+    runs the helper thread even on one CPU, so the threaded path is also
+    tested under `taskset -c 0`; 1 runs inline.
     """
     from qphase import kernels
     split = kernels.split
     threads = set()
 
-    def recording(work, pieces):
-        def traced(part):
+    def recording(work, n, size):
+        def traced(parts):
             threads.add(threading.get_ident())
-            return work(part)
-        return split(traced, pieces)
+            work(parts)
+        split(traced, n, size)
 
     monkeypatch.setattr(kernels, "split", recording)
     monkeypatch.setattr(kernels, "usable_cores", lambda: 2)

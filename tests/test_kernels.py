@@ -92,6 +92,26 @@ def test_wrap_in_range_never_calls_numpy_remainder(monkeypatch):
     kernels.stdmap_advance(np.linspace(0, 6, 50), np.linspace(-3, 3, 50), 2.0, 10)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.lists(st.tuples(st.integers(0, 1 << 10),
+                          st.sampled_from((np.nan, np.inf, -np.inf))), max_size=3))
+@example(np.array(1.5), [(0, np.inf)])
+@example(np.zeros((0, 3)), [])
+def test_property_finite_is_isfinite_all(x, bad):
+    # NaN, +inf or -inf at random positions of a float array, 0-d and empty
+    # ones included, and of a complex array read through its float64 view
+    flat = x.reshape(-1)
+    for at, value in bad:
+        if flat.size:
+            flat[at % flat.size] = value
+    assert kernels.finite(x) == bool(np.isfinite(x).all())
+    z = np.empty(flat.size, dtype=np.complex128)
+    z.real, z.imag = flat, flat[::-1]
+    assert kernels.finite(z.view(np.float64)) == bool(np.isfinite(z).all())
+
+
 def _halves(x, axis):
     # two empty arrays of x's shape halved along axis, for d4_analyze's out
     shape = list(x.shape)
@@ -194,48 +214,65 @@ def test_split_map_is_bit_identical_to_the_inline_map(monkeypatch):
             assert _bits(a).tobytes() == _bits(b).tobytes()
 
 
-def test_split_returns_per_piece_results_in_order(monkeypatch):
-    monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
-    for count in (0, 1, 2, 5):
-        assert kernels.split(lambda part: [x * x for x in part], range(count)) == \
-            [x * x for x in range(count)]
+def _split_calls(n: int, size: int) -> list:
+    # (thread id, slices) of each work call of kernels.split(work, n, size),
+    # the calling thread's first
+    calls = []
+    kernels.split(lambda parts: calls.append((threading.get_ident(), parts)), n, size)
+    return sorted(calls, key=lambda call: call[0] != threading.get_ident())
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_cuts_cover_the_range_in_order(monkeypatch, cores):
-    # one slice for one piece's worth; otherwise twice as many, half as
-    # long, when two cores run the halves at once
+def test_split_slices_cover_the_range_in_order(monkeypatch, cores):
+    # one inline call for one slice's worth or one core; otherwise twice as
+    # many slices, half as long, the first half on the calling thread and
+    # the second on the helper
     monkeypatch.setattr(kernels, "usable_cores", lambda: cores)
     for n, size in ((0, 4), (3, 4), (4, 4), (5, 4), (100_000, kernels.BLOCK), (1 << 20, 128)):
-        parts = kernels.cuts(n, size)
+        calls = _split_calls(n, size)
+        parts = [part for _, slices in calls for part in slices]
         assert [i for part in parts for i in range(n)[part]] == list(range(n))
-        count = -(-n // size)
-        assert len(parts) == (2 * count if count > 1 and cores > 1 else count)
         assert all(0 < part.stop - part.start <= size for part in parts)
+        count = -(-n // size)
+        if count > 1 and cores > 1:
+            assert len(parts) == 2 * count and len(calls) == 2
+            assert [len(slices) for _, slices in calls] == [count, count]
+            assert len({thread for thread, _ in calls}) == 2
+        else:
+            assert len(parts) == count
+            assert [thread for thread, _ in calls] == [threading.get_ident()]
+
+
+def test_split_runs_inline_while_the_helper_is_busy(monkeypatch):
+    # another caller holds the helper: one call on the calling thread, with
+    # the undoubled slices
+    monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
+    with kernels._busy:
+        calls = _split_calls(100, 30)
+    assert calls == [(threading.get_ident(),
+                      [slice(0, 25), slice(25, 50), slice(50, 75), slice(75, 100)])]
 
 
 def test_split_raises_after_both_halves_stopped_and_recovers(monkeypatch):
     monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
     stopped = []
 
-    def helper_half_fails(part):
-        if part[0] == 2:
+    def helper_half_fails(parts):
+        if parts[0].start == 2:
             raise ValueError("helper half")
-        return list(part)
 
-    def caller_half_fails(part):
-        if part[0] == 0:
+    def caller_half_fails(parts):
+        if parts[0].start == 0:
             raise ValueError("caller half")
         time.sleep(0.2)
-        stopped.append(part)
-        return list(part)
+        stopped.append(parts)
 
     with pytest.raises(ValueError, match="helper half"):
-        kernels.split(helper_half_fails, range(4))
+        kernels.split(helper_half_fails, 4, 2)
     with pytest.raises(ValueError, match="caller half"):
-        kernels.split(caller_half_fails, range(4))
-    assert stopped == [[2, 3]]
-    assert kernels.split(list, range(4)) == [0, 1, 2, 3]
+        kernels.split(caller_half_fails, 4, 2)
+    assert stopped == [[slice(2, 3), slice(3, 4)]]
+    assert len(_split_calls(4, 2)) == 2
 
 
 def _threads_after(code: str) -> int:
@@ -246,6 +283,17 @@ def _threads_after(code: str) -> int:
                           "print(threading.active_count())"],
                          check=True, capture_output=True, text=True, timeout=120)
     return int(run.stdout.split()[-1])
+
+
+def test_import_loads_no_thread_pool_modules():
+    # the helper's executor is imported when it first starts, so a fresh
+    # process keeps the import-time memory of `import qphase`
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c",
+                          f"import sys; sys.path.insert(0, {src!r})\nimport qphase\n"
+                          "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])"],
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert run.stdout.split()[-1] == "[]"
 
 
 def test_one_chunk_inputs_never_start_the_helper():
@@ -266,7 +314,7 @@ def test_one_usable_cpu_never_starts_the_helper():
     assert _threads_after(code) == 1
     assert _threads_after("from qphase import kernels\n"
                           "kernels.usable_cores = lambda: 2\n"
-                          "kernels.split(list, range(2))") == 2
+                          "kernels.split(list, 2, 1)") == 2
 
 
 def _glibc() -> bool:
@@ -285,8 +333,8 @@ def test_helper_thread_allocates_from_the_callers_malloc_arena():
             "import numpy as np\n"
             "from qphase import kernels\n"
             "kernels.usable_cores = lambda: 2\n"
-            "kernels.split(lambda part: [float(np.ones(1000 * (i + 1)).sum()) for i in part],"
-            " range(8))\n"
+            "kernels.split(lambda parts: [float(np.ones(1000 * (p.stop)).sum()) for p in parts],"
+            " 8, 2)\n"
             "stats = ctypes.CDLL(None).malloc_stats\n"
             "stats.argtypes, stats.restype = (), None\n"
             "stats()\n")
@@ -299,15 +347,12 @@ def test_helper_thread_allocates_from_the_callers_malloc_arena():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_forked_child_finishes_a_split_call(monkeypatch):
     monkeypatch.setattr(kernels, "usable_cores", lambda: 2)
-    kernels.split(list, range(2))  # the parent's helper thread is running
+    kernels.split(list, 2, 1)  # the parent's helper thread is running
     pid = os.fork()
     if pid == 0:  # the child has no helper thread until it starts its own
         status = 1
         try:
-            threads = set()
-            status = 0 if kernels.split(
-                lambda part: threads.add(threading.get_ident()) or list(part),
-                range(4)) == [0, 1, 2, 3] and len(threads) == 2 else 1
+            status = 0 if len({thread for thread, _ in _split_calls(4, 2)}) == 2 else 1
         finally:
             os._exit(status)
     deadline = time.monotonic() + 30

@@ -311,23 +311,21 @@ def test_property_tiled_roundtrip_parseval_and_per_tile_definition(shape, seed):
 
 def test_split_pyramid_is_bit_identical_to_the_inline_pyramid(monkeypatch):
     # 2D and tiled passes at 1024^2 span several chunks, so both halves of
-    # their chunk lists run; a 1D pass is one chunk, but the input check of
-    # a 2^17-sample signal still splits its two blocks
+    # their chunks run; every pass of a 1D pyramid is one chunk, run inline
     rng = np.random.default_rng(19)
     field = rng.normal(size=(1024, 1024))
-    cases = ((wavelet.d4_forward_1d, rng.normal(size=1 << 17)),
-             (wavelet.d4_forward_2d, field),
-             (lambda f: wavelet.tiled_forward_2d(f, 16), field))
-    for forward, x in cases:
+    cases = ((wavelet.d4_forward_1d, rng.normal(size=1 << 17), 1),
+             (wavelet.d4_forward_2d, field, 2),
+             (lambda f: wavelet.tiled_forward_2d(f, 16), field, 2))
+    for forward, x, ran_on in cases:
         two, one, threads = oracles.on_both_paths(monkeypatch, lambda: forward(x))
-        assert two.values.tobytes() == one.values.tobytes() and threads == 2
+        assert two.values.tobytes() == one.values.tobytes() and threads == ran_on
         two, one, threads = oracles.on_both_paths(monkeypatch, lambda: wavelet.inverse(two))
-        assert two.tobytes() == one.tobytes() and threads == 2
+        assert two.tobytes() == one.tobytes() and threads == ran_on
 
 
 def test_input_check_finds_nan_and_inf_in_any_block():
-    # the check reads one block of rows at a time; a bad value in the last
-    # block of a many-block grid, and in a one-block signal, is found
+    # a bad value anywhere in a large grid, and in a short signal, is found
     for bad in (np.nan, np.inf, -np.inf):
         field = np.zeros((512, 512))
         field[-1, -1] = bad
