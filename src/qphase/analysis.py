@@ -56,11 +56,19 @@ class ScanRow:
                 f"{self.xi_wavelet:.17g},{self.R:.17g},{self.S:.17g}")
 
 
+def _check_fourth(fourth: float) -> None:
+    # NaN or Inf anywhere, or a^4 past the float range, makes the sum of
+    # fourth powers non-finite, and with it every ratio taken from it
+    if not math.isfinite(fourth):
+        raise QPhaseError("invalid-data", "values hold NaN or Inf, or a^4 overflows")
+
+
 def ipr(amplitudes) -> float:
     """Participation ratio xi = (sum a^2)^2 / sum a^4 of a real amplitude
     field, such as |H|, image amplitudes or D4 coefficients; the sign of
     each amplitude does not matter, and xi is scale-invariant."""
     second, fourth = kernels.square_sums(amplitudes)
+    _check_fourth(fourth)
     if fourth == 0.0:
         raise QPhaseError("degenerate-input", "all amplitudes are zero")
     return second * second / fourth
@@ -76,6 +84,7 @@ def wigner_ipr(values) -> float:
     """
     v = np.asarray(values, dtype=np.float64)
     fourth = kernels.square_sums(v)[1]
+    _check_fourth(fourth)
     if fourth == 0.0:
         raise QPhaseError("degenerate-input", "all-zero grid has no participation ratio")
     return 1.0 / ((v.shape[0] // 2) ** 2 * fourth)
@@ -93,6 +102,8 @@ def entropy(weights) -> float:
     if np.any(w < 0):
         raise QPhaseError("invalid-parameter", "weights must be nonnegative")
     total = float(np.sum(w))
+    if not math.isfinite(total):
+        raise QPhaseError("invalid-data", f"weights sum to {total}: NaN, Inf or overflow")
     if total == 0.0:
         raise QPhaseError("degenerate-input", "all weights are zero")
     if abs(total - 1.0) > 1e-8:
@@ -125,6 +136,8 @@ def fit_scaling(points) -> ScalingFit:
                           f"need at least 3 points for a fit, got {len(pts)}")
     ns = np.array([p[0] for p in pts])
     xs = np.array([p[1] for p in pts])
+    if not (kernels.finite(ns) and kernels.finite(xs)):
+        raise QPhaseError("invalid-data", "n_q and xi values must be finite")
     if np.any(xs <= 0):
         raise QPhaseError("invalid-parameter", "xi values must be positive")
     if np.unique(ns).size < 2:

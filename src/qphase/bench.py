@@ -6,7 +6,9 @@ ran on two threads or inline. Then it reports the median over five fresh
 processes of `import qphase.cli`, with the number of scipy modules it
 loaded (0: numpy is the one runtime dependency). Then the median of three
 passes for the kicked-rotator evolution at n_q = 16, with its minor page
-faults per kick where the `resource` module exists, the paired-FFT Wigner grid at n_q = 11,
+faults per kick where the `resource` module exists, the bytes `rotator`
+still holds after evolving n_q = 16 at four K and the tracemalloc peak of a
+K switch (both as multiples of the state), the paired-FFT Wigner grid at n_q = 11,
 the 2D wavelet pyramid, a whole Wigner scan row at n_q = 11, the classical
 map's `kernels.stdmap_advance` (also in ns per point-step) and the CSV grid
 dump into memory, of a random 1024x1024 grid (every row through the one
@@ -97,6 +99,26 @@ def _evolve_case(t: int):
     return run
 
 
+def _rotator_tables() -> tuple:
+    """(bytes `rotator` holds after evolving n_q = 16 at four K, traced peak
+    of a K switch at n_q = 16), each as a multiple of the state."""
+    from . import rotator
+    # a 4-qubit run first, so every n_q = 16 table is built inside the trace
+    small = rotator.RotatorParams(n_q=4, K=1.0)
+    rotator.evolve(rotator.initial_band_state(small), small, 1)
+    sweep = [rotator.RotatorParams(n_q=16, K=K) for K in (0.5, 0.9, 1.5, 2.0)]
+    psi = rotator.initial_band_state(sweep[0])
+    tracemalloc.start()
+    try:
+        for params in sweep:
+            rotator.evolve(psi, params, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    peak = _traced_peak(lambda: rotator.evolve(psi, sweep[0], 1))
+    return held / psi.nbytes, peak / psi.nbytes
+
+
 def _cli_import() -> tuple:
     """(median seconds, scipy modules loaded) of `import qphase.cli` in 5 fresh processes."""
     src = str(Path(__file__).resolve().parents[1])
@@ -159,7 +181,8 @@ def main() -> None:
         before = _minor_faults()
         evolve_case()
         line += f"  minor faults/kick: {(_minor_faults() - before) / kicks:.1f}"
-    print(line)
+    held, switch = _rotator_tables()
+    print(f"{line}  held after 4-K sweep: {held:.2f} x state  K-switch peak: {switch:.2f} x state")
     # (label, case, (bytes, name) of the array its peak is measured against)
     for label, case, unit in (
             ("wigner_direct n_q=11", _wigner_case(), None),

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import QPhaseError
 from .measurement import grover_iterations
-from .statevec import as_state, check_register, even_qubits, partial_qft_blocks
+from .statevec import as_state, check_register, even_qubits
 
 _WRAP_IMAGES = 4
 
@@ -57,12 +57,18 @@ class DiagonalCost:
 
 
 def modified_husimi(state) -> HusimiGrid:
-    """Partial inverse DFT over the low half of the index bits."""
+    """Partial inverse DFT over the low half of the index bits.
+
+    Block j of the state is column j of the transposed view, so one inverse
+    FFT down the columns writes each block's transform straight into
+    column j of the C-ordered (l, j) grid, with no second grid-sized copy.
+    """
     psi = as_state(state)
     n_q = even_qubits(psi)
     b = 1 << (n_q // 2)
-    H = partial_qft_blocks(psi, b, "inverse").reshape(b, b).T
-    return HusimiGrid(H=np.ascontiguousarray(H), N=psi.size)
+    H = np.empty((b, b), dtype=np.complex128)
+    np.fft.ifft(psi.reshape(b, b).T, axis=0, norm="ortho", out=H)
+    return HusimiGrid(H=H, N=psi.size)
 
 
 def default_width(N: int) -> float:

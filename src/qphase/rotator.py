@@ -41,13 +41,21 @@ result lands in the natural layout. Every FFT is `numpy.fft.fft` with
 so a kick allocates nothing. Whole-length FFT temporaries, once the
 register passes glibc's mmap threshold, would cost a page fault per 4 kB
 on every kick.
+
+The tables are the twiddles and the chirp D (16N bytes each, set by n_q)
+and M in both layouts (32N bytes, set by n_q and K). One slot holds the set
+of the last params evolved and nothing else, so what a call holds does not
+depend on what ran before it: a call with other params drops the held set,
+keeping the twiddles and chirp when n_q is unchanged, and then builds the
+new one. There is a slot rather than none because a repeated call must not
+rebuild: tests pin that a second `evolve` with the same params allocates
+about one state and makes no per-kick page faults.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,40 +95,95 @@ def _shape(n_q: int) -> tuple:
     return n1, (1 << n_q) // n1
 
 
-@lru_cache(maxsize=8)
 def _twiddles(n_q: int):
     n1, n2 = _shape(n_q)
-    tw = np.exp(-2j * np.pi / (n1 * n2) * np.outer(np.arange(n1), np.arange(n2)))
+    tw = -2j * np.pi / (n1 * n2) * np.outer(np.arange(n1), np.arange(n2))
+    np.exp(tw, out=tw)
     tw.setflags(write=False)
     return tw
 
 
-@lru_cache(maxsize=8)
 def _chirp(n_q: int):
     """D_j = e^{i pi (j^2 mod 2N) / N} over angle j, in natural order."""
     N = 1 << n_q
     j = np.arange(N, dtype=np.int64)
-    chirp = np.exp(1j * np.pi / N * ((j * j) % (2 * N)))
+    chirp = 1j * np.pi / N * ((j * j) % (2 * N))
+    np.exp(chirp, out=chirp)
     chirp.setflags(write=False)
     return chirp
 
 
-@lru_cache(maxsize=64)
+# numpy's NPY_MIN_ELIDE_BYTES: from this size on it evaluates
+# `array * temporary` in the temporary's buffer
+_ELIDE_BYTES = 256 * 1024
+
+
 def _phases(params: RotatorParams):
     """M = e^{-i pi/4} kick D^2 over angle j, at [a, b] with j = N2 a + b
-    (natural layout) and at [k1, k2] with j = k1 + N1 k2 (permuted)."""
+    (natural layout) and at [k1, k2] with j = k1 + N1 k2 (permuted).
+
+    Built in place on two state-sized buffers: the exact phase, then M in
+    it, and the kick, whose buffer then takes the permuted copy.
+    """
     N = params.N
     n1, n2 = _shape(params.n_q)
     j = np.arange(N, dtype=np.int64)
-    kick = np.exp(1j * params.k * np.cos(2.0 * np.pi * j / N))
     # D^2 = e^{2 pi i (j^2 mod N) / N}; a separate factor keeps the kick's
     # large argument out of the sum, so M is kick times an exact phase
-    m = kick * np.exp(1j * (2.0 * np.pi / N * ((j * j) % N) - 0.25 * np.pi))
+    arg = np.multiply(j, j)
+    arg %= N
+    x = np.multiply(2.0 * np.pi / N, arg)
+    del arg
+    x -= 0.25 * np.pi
+    m = np.multiply(1j, x)
+    np.exp(m, out=m)
+    np.multiply(2.0 * np.pi, j, out=x)
+    del j
+    x /= N
+    np.cos(x, out=x)
+    kick = np.multiply(1j * params.k, x)
+    del x
+    np.exp(kick, out=kick)
+    # M = kick * phase into the phase's buffer. The two operand orders of a
+    # complex product round differently; this is the order numpy's
+    # temporary elision gives the expression kick * np.exp(...) on Linux
+    # (operands swapped once the temporary holds 256 KiB, n_q >= 14), so M
+    # and every evolved state keep the bits of that expression
+    if m.nbytes < _ELIDE_BYTES:
+        np.multiply(kick, m, out=m)
+    else:
+        np.multiply(m, kick, out=m)
     natural = m.reshape(n1, n2)
-    permuted = np.ascontiguousarray(m.reshape(n2, n1).T)
+    permuted = kick.reshape(n1, n2)
+    permuted[...] = m.reshape(n2, n1).T
     natural.setflags(write=False)
     permuted.setflags(write=False)
     return natural, permuted
+
+
+# (params, twiddles, chirp, (natural M, permuted M)) of the last params evolved
+_slot = None
+
+
+def _tables(params: RotatorParams) -> tuple:
+    """The slot's table set for params, rebuilt when the params change.
+
+    The held set is dropped before the build, so at most one set is held
+    between calls; a K change keeps the twiddles and the chirp, which
+    depend on n_q alone. A caller keeps the returned references, so two
+    threads with different params may each rebuild, but each call reads
+    one consistent set.
+    """
+    global _slot
+    held = _slot
+    if held is not None and held[0] == params:
+        return held
+    shared = held[1:3] if held is not None and held[0].n_q == params.n_q else ()
+    # drop the held set, and this call's reference to it, before the build
+    _slot = held = None
+    tw, chirp = shared or (_twiddles(params.n_q), _chirp(params.n_q))
+    _slot = held = (params, tw, chirp, _phases(params))
+    return held
 
 
 def initial_band_state(params: RotatorParams) -> np.ndarray:
@@ -154,11 +217,9 @@ def evolve(state, params: RotatorParams, t: int) -> np.ndarray:
     if t == 0:
         return src.astype(np.complex128)
     n1, n2 = _shape(params.n_q)
-    tw = _twiddles(params.n_q)
-    chirp = _chirp(params.n_q)
+    _, tw, chirp, kicks = _tables(params)
     # indexed by the layout flag: natural [a, b] views, permuted [k1, k2]
     chirps = (chirp.reshape(n1, n2), chirp.reshape(n2, n1).T)
-    kicks = _phases(params)
     # each of the t + 2 transforms flips the layout, and the result must end
     # natural, so an odd t starts from a permuted copy
     permuted = t % 2 == 1

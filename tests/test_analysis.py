@@ -72,6 +72,10 @@ def test_entropy_validation():
     with pytest.raises(QPhaseError) as err:
         analysis.entropy(np.zeros(3))
     assert err.value.category == "degenerate-input"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(QPhaseError) as err:
+            analysis.entropy([bad, 1.0])
+        assert err.value.category == "invalid-data"
 
 
 def test_entropy_permutation_invariant_and_maximal_at_uniform():
@@ -122,6 +126,10 @@ def test_fit_validation():
     with pytest.raises(QPhaseError) as err:
         analysis.fit_scaling([(5, 2.0), (6, 0.0), (7, 4.0)])
     assert err.value.category == "invalid-parameter"
+    for point in ((7, float("nan")), (7, float("inf")), (float("nan"), 4.0)):
+        with pytest.raises(QPhaseError) as err:
+            analysis.fit_scaling([(5, 2.0), (6, 4.0), point, (8, 16.0)])
+        assert err.value.category == "invalid-data"
 
 
 def test_fit_needs_two_distinct_qubit_counts():
@@ -130,6 +138,18 @@ def test_fit_needs_two_distinct_qubit_counts():
     assert err.value.category == "insufficient-data"
     # two distinct counts among three points leave one degree of freedom
     assert analysis.fit_scaling([(5, 2.0), (5, 4.0), (6, 4.0)]).exponent == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("measure", [analysis.ipr, analysis.wigner_ipr])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e100])
+def test_participation_ratios_reject_non_finite_sums(measure, bad):
+    # NaN and Inf reach the sum of fourth powers, and so does an a^4 that
+    # overflows; each would otherwise give a NaN or zero ratio
+    values = np.full((4, 4), 0.25)
+    values[1, 2] = bad
+    with np.errstate(over="ignore"), pytest.raises(QPhaseError) as err:
+        measure(values)
+    assert err.value.category == "invalid-data"
 
 
 def test_participation_never_exceeds_entropy_bound():

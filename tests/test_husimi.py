@@ -26,6 +26,14 @@ def test_modified_equals_blockwise_transform():
     assert np.array_equal(grid.H, blocks.T)
 
 
+def test_modified_husimi_allocates_one_grid():
+    # the block transforms are written straight into the C-ordered grid
+    psi = oracles.random_state(1 << 16, seed=19)
+    husimi.modified_husimi(psi)
+    peak = oracles.traced_peak(lambda: husimi.modified_husimi(psi))
+    assert peak < 1.25 * psi.nbytes
+
+
 def test_momentum_delta_spreads_over_its_block_column():
     # a delta at n0 = j0 b + r0 lands in column j0 with |H|^2 = 1/sqrt(N)
     # for every angle row

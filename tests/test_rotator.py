@@ -2,6 +2,9 @@
 
 import subprocess
 import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +171,79 @@ def test_evolve_peak_memory_is_about_one_state():
     rotator.evolve(psi, params, 1)  # fill the caches outside the trace
     peak = oracles.traced_peak(lambda: rotator.evolve(psi, params, 50))
     assert peak < 1.25 * psi.nbytes
+
+
+def _band_run(params, t):
+    return rotator.evolve(rotator.initial_band_state(params), params, t)
+
+
+def test_rotator_holds_one_table_set_after_a_parameter_sweep():
+    # eight (n_q, K) in one process leave only the last params' tables
+    # (twiddles, chirp and M in two layouts, four states' worth) held
+    sweep = [rotator.RotatorParams(n_q=n_q, K=K)
+             for n_q in (14, 12) for K in (0.5, 0.9, 1.5, 2.0)]
+    # numpy's FFT module loads on first use, outside the trace
+    _band_run(rotator.RotatorParams(n_q=4, K=1.0), 1)
+    tracemalloc.start()
+    try:
+        for params in sweep:
+            _band_run(params, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 16 * sweep[-1].N + 4096
+
+
+def test_k_switch_peak_is_the_new_kick_tables_and_one_state():
+    # at the same n_q the twiddles and chirp stay; M's two layouts are built
+    # in place on two state-sized buffers after the old M is dropped, so the
+    # peak is M plus the working buffer and row scratch
+    params = rotator.RotatorParams(n_q=16, K=2.0)
+    psi = rotator.initial_band_state(params)
+    rotator.evolve(psi, params, 1)
+    switched = rotator.RotatorParams(n_q=16, K=0.5)
+    peak = oracles.traced_peak(lambda: rotator.evolve(psi, switched, 2))
+    assert peak < 3.25 * psi.nbytes
+
+
+def _built_afresh(params, t):
+    # a 3-qubit run first empties the slot of every table of params.n_q
+    _band_run(rotator.RotatorParams(n_q=3, K=0.0), 1)
+    return _band_run(params, t)
+
+
+def test_alternating_params_in_one_thread_are_bit_identical():
+    # each switch rebuilds the slot; a K change at the same n_q keeps the
+    # twiddles and the chirp but must rebuild M
+    sweep = [rotator.RotatorParams(n_q=n_q, K=K) for n_q, K in
+             ((10, 0.5), (10, 2.0), (11, 2.0), (10, 0.5), (11, 0.9), (11, 2.0))]
+    expect = {p: _built_afresh(p, 5) for p in sweep}
+    for p in sweep * 2:
+        assert np.array_equal(_band_run(p, 5), expect[p])
+
+
+def test_two_threads_with_different_params_are_bit_identical_to_serial():
+    # as in the scan pool: two threads evolve different (n_q, K) at once and
+    # keep replacing each other's table set in the slot
+    lanes = ([rotator.RotatorParams(n_q=8, K=0.5), rotator.RotatorParams(n_q=9, K=2.0)] * 100,
+             [rotator.RotatorParams(n_q=8, K=2.0), rotator.RotatorParams(n_q=9, K=0.9)] * 100)
+    expect = {p: _built_afresh(p, 3) for lane in lanes for p in lane[:2]}
+    start = threading.Barrier(2)
+
+    def run(lane):
+        start.wait()
+        return [_band_run(p, 3) for p in lane]
+
+    # switch threads every microsecond, so slot reads and writes interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(run, lanes))
+    finally:
+        sys.setswitchinterval(interval)
+    for lane, got in zip(lanes, threaded):
+        assert all(np.array_equal(a, expect[p]) for p, a in zip(lane, got))
 
 
 def test_double_register_evolution_factorizes():
