@@ -32,6 +32,8 @@ class GrayImage:
         if px.ndim != 2:
             raise QPhaseError("invalid-dimension", f"image must be 2D, got {px.ndim}D")
         if px.dtype != np.uint8:
+            if not kernels.finite(px) or np.any(px != np.trunc(px)):
+                raise QPhaseError("invalid-data", "pixel values must be finite integers")
             if np.any(px < 0) or np.any(px > 255):
                 raise QPhaseError("invalid-data", "pixel values outside [0, 255]")
             px = px.astype(np.uint8)

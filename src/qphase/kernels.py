@@ -17,9 +17,9 @@ long slices and the helper, a one-thread executor made on first use, the
 second half, so loops whose numpy calls release the interpreter lock use a
 second core; otherwise work runs once, inline. Callers compute each output
 element from one slice alone, so every result is bit for bit the same on
-either path. On glibc, starting the helper also makes later threads share
-the process's malloc arena (`_share_malloc_arena`), so the helper's scratch
-reuses pages the caller's arena already holds instead of keeping its own.
+either path. Starting the helper changes nothing else in the process: a
+library process keeps glibc's malloc defaults, and `cli.main` gives the
+`qphase` command's scan pool threads and helper one arena (see there).
 
 Filter taps: h = ((1+r3), (3+r3), (3-r3), (1-r3)) / (4 sqrt 2) with r3=sqrt 3,
 g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
@@ -59,28 +59,6 @@ def usable_cores() -> int:
 # second half it runs
 _helper = None
 _busy = threading.Lock()
-
-
-def _share_malloc_arena() -> None:
-    """Make threads that start from now on allocate from the malloc arena
-    the process already has (glibc's M_ARENA_MAX = 1).
-
-    glibc gives each new thread an arena of its own, and an arena keeps the
-    scratch freed in it resident for reuse, so the helper's chunk buffers
-    would hold pages beside the ones the caller's arena already holds. The
-    setting is process-wide: a thread that has already allocated keeps its
-    arena, and later threads share one. Other C libraries are left alone.
-    """
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError):  # no confstr, or no such name
-        return
-    if not glibc:
-        return
-    import ctypes  # here, not at the top: only a starting helper needs it
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-8, 1)  # -8 is M_ARENA_MAX in <malloc.h>
 
 
 def _forget_helper() -> None:
@@ -123,7 +101,6 @@ def split(work, n: int, size: int) -> None:
         return
     try:
         if _helper is None:
-            _share_malloc_arena()
             # imported here: a process that never splits keeps its import-time memory
             from concurrent.futures import ThreadPoolExecutor
             _helper = ThreadPoolExecutor(1, thread_name_prefix="qphase-split")

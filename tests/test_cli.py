@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -225,6 +226,31 @@ def test_scan_manifest_records_exactly_the_options_read(tmp_path, argv, read):
     assert read_manifest(out)["parameters"] == expect
 
 
+@pytest.mark.parametrize("argv, read", [
+    (["--method", "topk", "--k", "64"], {"tile": 0}),
+    (["--method", "topk", "--k", "64", "--tile", "4"], {"tile": 4}),
+    (["--method", "montecarlo", "--k", "64"], {"seed": 0}),
+    (["--method", "montecarlo", "--k", "64", "--seed", "9"], {"seed": 9})])
+def test_reconstruct_manifest_records_exactly_the_options_read(tmp_path, argv, read):
+    src, out = tmp_path / "src.pgm", tmp_path / "m"
+    imageio.save_pgm(imageio.synthetic_corpus(16)["spots"], src)
+    assert main(["reconstruct", str(src), *argv, "--out", str(out)]) == 0
+    expect = {"image": str(src), "method": argv[1], "k": 64, **read}
+    assert read_manifest(out)["parameters"] == expect
+
+
+@pytest.mark.parametrize("argv", [["--method", "montecarlo", "--tile", "16"],
+                                  ["--method", "topk", "--seed", "5"]])
+def test_reconstruct_refuses_the_other_methods_option_before_reading(tmp_path, monkeypatch,
+                                                                     argv):
+    # --tile is read by topk alone and --seed by montecarlo alone
+    monkeypatch.setattr(imageio, "load_pgm", lambda path: pytest.fail("the image was read"))
+    out = tmp_path / "r"
+    assert main(["reconstruct", str(tmp_path / "p.pgm"), *argv, "--k", "64",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_scan_image_above_register_cap_is_a_resource_error(tmp_path):
     out = tmp_path / "big"
     assert main(["scan", "image", "--fit-range", "100:104", "--out", str(out)]) == 3
@@ -378,6 +404,36 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     run = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True)
     assert run.stdout.strip() == "[]"
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="malloc arenas are glibc's")
+def test_cli_threads_share_one_malloc_arena_whatever_the_command_order(tmp_path):
+    # glibc's malloc_stats prints one "Arena i:" block per arena. The scan
+    # pool's two threads start before the split helper and allocate rows'
+    # scratch; main limits the process to one arena before either exists
+    src = str(Path(cli.__file__).resolve().parents[1])
+    scan = ["scan", "husimi", "--K", "2", "--t", "1", "--fit-range", "8:12",
+            "--out", str(tmp_path / "s")]
+    wig = ["wigner", "--nq", "9", "--K", "2", "--t", "1", "--out", str(tmp_path / "w")]
+    code = (f"import sys, ctypes; sys.path.insert(0, {src!r})\n"
+            "from qphase import cli, kernels\n"
+            "kernels.usable_cores = lambda: 2\n"
+            f"assert cli.main({scan!r}) == 0 and kernels._helper is None\n"
+            f"assert cli.main({wig!r}) == 0 and kernels._helper is not None\n"
+            "stats = ctypes.CDLL(None).malloc_stats\n"
+            "stats.argtypes, stats.restype = (), None\n"
+            "stats()\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert run.stderr.count("Arena ") == 1, run.stderr
 
 
 def test_amplify_region_bounds_checked(capsys):

@@ -1,6 +1,7 @@
 """PGM parsing and writing, wavefunction encoding, heatmaps, the corpus."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,24 @@ def test_p2_header_larger_than_file(tmp_path):
         imageio.load_pgm(path)
     assert err.value.byte_offset == len(header)
     assert "1099511627776 pixels" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 3.7, 254.5])
+def test_gray_image_rejects_non_finite_or_fractional_pixels(bad):
+    # NaN used to become an arbitrary byte (with a RuntimeWarning) and 3.7 a 3
+    px = np.full((2, 2), 7.0)
+    px[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QPhaseError) as err:
+            imageio.GrayImage(px)
+    assert err.value.category == "invalid-data"
+
+
+def test_gray_image_takes_integral_floats_as_bytes():
+    img = imageio.GrayImage(np.array([[0.0, 3.0], [128.0, 255.0]]))
+    assert img.pixels.dtype == np.uint8
+    assert img.pixels.tolist() == [[0, 3], [128, 255]]
 
 
 def test_encode_uniform_image():
