@@ -93,35 +93,55 @@ def wigner_ipr(values) -> float:
 def entropy(weights) -> float:
     """Shannon entropy in bits of a weight vector, renormalized internally.
 
-    One normalized copy is made, one block at a time through
-    `kernels.split`, and p ln p is taken in place on each block as
-    p ln(p + [p = 0]), so a zero weight gives 0 ln 1 = 0. The terms are then
-    summed in one pass over the whole copy.
+    The weights are read in leaves of at most `kernels.BLOCK` samples, the
+    pieces of numpy's pairwise sum (`kernels.pairwise_leaves`), in two
+    passes through `kernels.split`. The first checks the signs and sums each
+    leaf. The second turns each leaf into p ln(p + [p = 0]) in a leaf
+    buffer, so a zero weight gives 0 ln 1 = 0, and sums it. Leaf sums are
+    added as np.sum adds them (`kernels.pairwise_total`), so the total and
+    the entropy have the bits of np.sum over whole weight-sized arrays,
+    though no such array is made.
     """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if np.any(w < 0):
+    leaves = kernels.pairwise_leaves(w.size)
+    # one entry per leaf, each written by the one slice that holds the leaf
+    sums = [0.0] * len(leaves)
+    negative = [False] * len(leaves)
+
+    def check(parts) -> None:
+        for part in parts:
+            for i in range(part.start, part.stop):
+                chunk = w[leaves[i]]
+                negative[i] = bool(np.any(chunk < 0))
+                sums[i] = np.sum(chunk)
+
+    kernels.split(check, len(leaves), 1)
+    if any(negative):
         raise QPhaseError("invalid-parameter", "weights must be nonnegative")
-    total = float(np.sum(w))
+    total = kernels.pairwise_total(sums, w.size)
     if not math.isfinite(total):
         raise QPhaseError("invalid-data", f"weights sum to {total}: NaN, Inf or overflow")
     if total == 0.0:
         raise QPhaseError("degenerate-input", "all weights are zero")
     if abs(total - 1.0) > 1e-8:
         warnings.warn(f"weights sum to {total:.6g}; renormalizing")
-    p = np.empty_like(w)
 
-    def terms(blocks) -> list:
-        buf = np.empty(max(block.stop - block.start for block in blocks))
-        for block in blocks:
-            chunk = p[block]
-            np.divide(w[block], total, out=chunk)
-            ln = buf[:chunk.size]
-            np.add(chunk, chunk == 0.0, out=ln)
-            np.log(ln, out=ln)
-            chunk *= ln
+    longest = max(leaf.stop - leaf.start for leaf in leaves)
 
-    kernels.split(terms, p.size, kernels.BLOCK)
-    return -float(np.sum(p)) / math.log(2.0)
+    def terms(parts) -> None:
+        p, ln = np.empty(longest), np.empty(longest)
+        for part in parts:
+            for i in range(part.start, part.stop):
+                chunk = w[leaves[i]]
+                q, lq = p[:chunk.size], ln[:chunk.size]
+                np.divide(chunk, total, out=q)
+                np.add(q, q == 0.0, out=lq)
+                np.log(lq, out=lq)
+                q *= lq
+                sums[i] = np.sum(q)
+
+    kernels.split(terms, len(leaves), 1)
+    return -kernels.pairwise_total(sums, w.size) / math.log(2.0)
 
 
 def fit_scaling(points) -> ScalingFit:

@@ -1,4 +1,4 @@
-"""Timing of the hot kernels.
+"""Timing of the hot kernels, and the byte-identity list of CLI outputs.
 
 Run as `python -m qphase.bench`. Its first line is the number of usable
 cores that `kernels.split` reads, which says whether the chunk loops below
@@ -9,19 +9,30 @@ passes for the kicked-rotator evolution at n_q = 16, with its minor page
 faults per kick where the `resource` module exists, the bytes `rotator`
 still holds after evolving n_q = 16 at four K and the tracemalloc peak of a
 K switch (both as multiples of the state), the paired-FFT Wigner grid at n_q = 11,
-the 2D wavelet pyramid, a whole Wigner scan row at n_q = 11, the classical
+the 2D wavelet pyramid, the entropy of 2^23 weights (the size of a Wigner
+row's at n_q = 11), a whole Wigner scan row at n_q = 11, the classical
 map's `kernels.stdmap_advance` (also in ns per point-step) and the CSV grid
 dump into memory, of a random 1024x1024 grid (every row through the one
 "%.17g" row template) and of the Wigner grid that `qphase wigner --nq 9 --K 2
---t 100` writes (every row through the mirrored half-row path). The pyramid
-and the scan row also report their tracemalloc peak in one more, untimed
-pass, as a multiple of the field or grid they work on. Every kernel has one
-numpy path.
+--t 100` writes (every row through the mirrored half-row path). Every time
+is printed with the min-max spread of its runs: three runs cannot tell a
+drifting machine from a changed program, so compare alternated runs. The
+pyramid, the entropy and the scan row also report their tracemalloc peak in
+one more, untimed pass, as a multiple of the field, weights or grid they
+work on. Every kernel has one numpy path.
+
+`python -m qphase.bench --outputs DIR` times nothing: it runs a fixed list
+of `qphase` commands with fixed seeds into DIR and prints the sha256 of
+each file they write, one line per file. Two checkouts that print the same
+lines write the same bytes.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import io
+import json
 import statistics
 import subprocess
 import sys
@@ -40,13 +51,19 @@ from . import kernels
 from .measurement import _rng
 
 
-def _median_time(fn, repeats: int = 3) -> float:
+def _times(fn, repeats: int = 3) -> list:
+    """Seconds of `repeats` calls of fn, sorted."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return sorted(times)[repeats // 2]
+    return sorted(times)
+
+
+def _timed(times) -> str:
+    """The median of sorted times, with their min-max spread."""
+    return f"{statistics.median(times):8.4f}s [{times[0]:.4f}-{times[-1]:.4f}]"
 
 
 def _wavelet_case():
@@ -55,6 +72,21 @@ def _wavelet_case():
     def run():
         from . import wavelet
         wavelet.d4_forward_2d(field)
+
+    return run
+
+
+# weights of the entropy case: those of a Wigner row at n_q = 11, (4096, 2048)
+_ENTROPY_WEIGHTS = 1 << 23
+
+
+def _entropy_case():
+    w = _rng(4).uniform(size=_ENTROPY_WEIGHTS)
+    w /= w.sum()
+
+    def run():
+        from . import analysis
+        analysis.entropy(w)
 
     return run
 
@@ -120,14 +152,14 @@ def _rotator_tables() -> tuple:
 
 
 def _cli_import() -> tuple:
-    """(median seconds, scipy modules loaded) of `import qphase.cli` in 5 fresh processes."""
+    """(sorted seconds, scipy modules loaded) of `import qphase.cli` in 5 fresh processes."""
     src = str(Path(__file__).resolve().parents[1])
     code = (f"import sys, time; sys.path.insert(0, {src!r}); start = time.perf_counter(); "
             "import qphase.cli; print(time.perf_counter() - start, "
             "sum(m.split('.')[0] == 'scipy' for m in sys.modules))")
     runs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                            text=True).stdout.split() for _ in range(5)]
-    return statistics.median(float(r[0]) for r in runs), max(int(r[1]) for r in runs)
+    return sorted(float(r[0]) for r in runs), max(int(r[1]) for r in runs)
 
 
 def _minor_faults() -> int:
@@ -165,18 +197,68 @@ def _csv_case(grid):
     return run
 
 
-def main() -> None:
+def _output_commands(pgm: Path) -> list:
+    """(name, argv) of the commands whose output bytes `--outputs` lists:
+    the seven of perfbench's `cli_outputs` workload at its full sizes, and a
+    small Wigner and image scan, each with fixed parameters and seeds."""
+    return [
+        ("wigner", ["wigner", "--nq", "9", "--K", "2", "--t", "100"]),
+        ("classical", ["classical", "--K", "2", "--t", "200", "--shots", "100000",
+                       "--seed", "1234"]),
+        ("reconstruct_topk", ["reconstruct", str(pgm), "--method", "topk", "--k", "2500"]),
+        ("reconstruct_tiled", ["reconstruct", str(pgm), "--method", "topk", "--tile", "16",
+                               "--k", "2500"]),
+        ("reconstruct_montecarlo", ["reconstruct", str(pgm), "--method", "montecarlo",
+                                    "--k", "2500", "--seed", "5678"]),
+        ("amplify", ["amplify", "--nq", "7", "--K", "2", "--t", "100",
+                     "--region", "128:144,64:80"]),
+        ("scan_husimi", ["scan", "husimi", "--K", "2", "--t", "1000", "--fit-range", "8:14"]),
+        ("scan_wigner", ["scan", "wigner", "--K", "2", "--t", "100", "--fit-range", "5:9"]),
+        ("scan_image", ["scan", "image", "--image", "portrait", "--fit-range", "10:18"]),
+    ]
+
+
+def outputs(root) -> int:
+    """Run the `--outputs` list into root and print `sha256  command/file`
+    for every file the manifests list; 1 if a command fails, else 0."""
+    from . import cli, imageio
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    pgm = root / "portrait_256.pgm"
+    imageio.save_pgm(imageio.corpus_image("portrait", 256), pgm)
+    for name, argv in _output_commands(pgm):
+        outdir = root / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--out", str(outdir)])
+        if code != 0:
+            print(f"qphase {' '.join(argv)} exited {code}", file=sys.stderr)
+            return 1
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        for file, digest in sorted(manifest["outputs"].items()):
+            print(f"{digest}  {name}/{file}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m qphase.bench",
+                                     description="time the kernels, or list output hashes")
+    parser.add_argument("--outputs", metavar="DIR",
+                        help="run a fixed list of commands into DIR and print the sha256 "
+                             "of every file they write, instead of timing")
+    args = parser.parse_args(argv)
+    if args.outputs is not None:
+        return outputs(args.outputs)
     cores = kernels.usable_cores()
     path = "halves on two threads" if cores > 1 else "inline, no helper thread"
     print(f"{'usable cores':34s}  {cores}: split chunk loops run {path}")
     seconds, scipy_modules = _cli_import()
-    print(f"{'import qphase.cli (fresh process)':34s}  numpy: {seconds:8.4f}s"
+    print(f"{'import qphase.cli (fresh process)':34s}  numpy: {_timed(seconds)}"
           f"  scipy modules: {scipy_modules}")
     kicks = 200
     evolve_case = _evolve_case(kicks)
     evolve_case()
     label = f"rotator.evolve n_q=16 t={kicks}"
-    line = f"{label:34s}  numpy: {_median_time(evolve_case):8.4f}s"
+    line = f"{label:34s}  numpy: {_timed(_times(evolve_case))}"
     if resource is not None:
         before = _minor_faults()
         evolve_case()
@@ -187,21 +269,24 @@ def main() -> None:
     for label, case, unit in (
             ("wigner_direct n_q=11", _wigner_case(), None),
             ("d4_forward_2d 1024x1024", _wavelet_case(), (1024 * 1024 * 8, "field")),
+            ("entropy 2^23 weights", _entropy_case(), (_ENTROPY_WEIGHTS * 8, "weights")),
             ("wigner_scan_row K=2 n_q=11 t=1000", _scan_row_case(), (4096 * 4096 * 8, "grid")),
             ("stdmap 1e6 points x 100 steps", _stdmap_case(), None),
             ("write_grid_csv 1024x1024 random",
              _csv_case(_rng(3).standard_normal((1024, 1024))), None),
             ("write_grid_csv wigner n_q=9 t=100", _csv_case(_wigner_grid()), None)):
         case()
-        seconds = _median_time(case)
-        line = f"{label:34s}  numpy: {seconds:8.4f}s"
+        times = _times(case)
+        line = f"{label:34s}  numpy: {_timed(times)}"
         if unit is not None:
             peak = _traced_peak(case)
             line += f"  peak: {peak / 1e6:.1f} MB = {peak / unit[0]:.2f} x {unit[1]}"
         if label.startswith("stdmap"):
+            seconds = statistics.median(times)
             line += f"  {seconds / (_MAP_POINTS * _MAP_STEPS) * 1e9:.1f} ns/point-step"
         print(line)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -48,6 +48,9 @@ class ImageAmplitudes:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
+        # a NaN energy would pass the unit-energy test below
+        if not kernels.finite(v):
+            raise QPhaseError("invalid-data", "amplitudes must be finite")
         if np.any(v < 0):
             raise QPhaseError("invalid-data", "amplitudes must be nonnegative")
         total = float(np.sum(v * v))

@@ -1,7 +1,8 @@
 """Hot numeric kernels: the 4-tap wavelet level stencil, the blocked sums
-of squares and fourth powers, the classical map ensemble advance, the one
-NaN/inf check, and the one call that runs a loop over independent pieces on
-two cores.
+of squares and fourth powers, the leaves of numpy's pairwise sum (so a
+blocked sum keeps np.sum's bits), the classical map ensemble advance, the
+one NaN/inf check, and the one call that runs a loop over independent
+pieces on two cores.
 
 All are numpy only. The D4 stencil works along any axis, so 2D transforms
 need no transposes. The map advance is one loop of array updates on each
@@ -182,6 +183,42 @@ def d4_synthesize(a: np.ndarray, d: np.ndarray, out: np.ndarray, axis: int = -1)
 # samples per block of the blocked loops (square_sums, analysis.entropy) and
 # most points per piece of the map ensemble
 BLOCK = 1 << 16
+
+
+def _pairwise_half(n: int) -> int:
+    # numpy's pairwise sum of n > 128 float64 values adds the sum of its first
+    # n2 values to that of the rest, n2 being n // 2 rounded down to a multiple of 8
+    half = n // 2
+    return half - half % 8
+
+
+def pairwise_leaves(n: int) -> list:
+    """The slices of range(n), in order, at which numpy's pairwise sum of n
+    float64 values splits down to pieces of at most BLOCK values.
+
+    np.sum of a contiguous float64 array is one pairwise sum over all of it,
+    so np.sum of each piece, added by `pairwise_total`, gives its bits
+    without the whole array being there at once.
+    """
+    if n <= BLOCK:
+        return [slice(0, n)]
+    half = _pairwise_half(n)
+    return pairwise_leaves(half) + [slice(leaf.start + half, leaf.stop + half)
+                                     for leaf in pairwise_leaves(n - half)]
+
+
+def pairwise_total(sums, n: int) -> float:
+    """The sums of the pieces of `pairwise_leaves(n)`, in order, added as
+    numpy's pairwise sum adds its halves."""
+    pieces = iter(sums)
+
+    def add(m: int) -> float:
+        if m <= BLOCK:
+            return float(next(pieces))
+        half = _pairwise_half(m)
+        return add(half) + add(m - half)
+
+    return add(n)
 
 
 def square_sums(values) -> tuple:

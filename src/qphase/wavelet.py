@@ -7,14 +7,19 @@ approximation occupies the leading half of the active block and the detail
 the trailing half; 2D levels transform rows then columns of the shrinking
 top-left block. Full depth (approximation band of 4 samples in 1D, 4x4 in 2D)
 is the default. All three variants, in both directions, run one pyramid loop;
-a tiled field runs it on a 4D view of itself, every tile at once. The loop
-works in place on the coefficient array: each pass along an axis goes
-through cache-sized chunks of a batch axis, each analysed (or synthesised)
-into a chunk-sized scratch and copied back, so no grid-sized workspace is
-allocated and a 2D transform costs its input plus one coefficient copy.
-A pass of more than one chunk runs the two halves of its chunks at once
-through `kernels.split`, each half with its own scratch; chunks never share
-an output sample, so the coefficients are the same bits on either path.
+a tiled field runs it on a 4D view of itself, every tile at once. Each pass
+along an axis goes through cache-sized chunks of a batch axis. A forward
+transform's first pass reads the input once: each chunk is checked for NaN
+and Inf (`kernels.finite`) and analysed straight into the new coefficient
+array, and the input is never written. Every later pass, and every pass of
+an inverse (which starts from a copy of the coefficients), works in place on
+the output, each chunk analysed (or synthesised) into a chunk-sized scratch
+and copied back. So no grid-sized workspace is allocated: a forward
+transform allocates its coefficient array, an inverse its output, and
+chunk-sized scratch. A pass of more than one chunk runs the two halves of
+its chunks at once through `kernels.split`, each half with its own scratch;
+chunks never share an output sample, so the coefficients are the same bits
+on either path.
 """
 
 from __future__ import annotations
@@ -54,10 +59,14 @@ def _check_levels(length: int, levels, what: str) -> int:
     return int(levels)
 
 
-def _as_real(data, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+def _check_finite(arr: np.ndarray, what: str) -> None:
     if not kernels.finite(arr):
         raise QPhaseError("invalid-data", f"{what} contains NaN or Inf")
+
+
+def _as_real(data, what: str) -> np.ndarray:
+    arr = np.asarray(data, dtype=np.float64)
+    _check_finite(arr, what)
     return arr
 
 
@@ -103,6 +112,23 @@ def _chunks(block: np.ndarray, axis: int) -> tuple:
     return batch, rows
 
 
+def _analyse_into(source: np.ndarray, what: str, out: np.ndarray, ax: int, batch: int,
+                  parts) -> None:
+    """A forward transform's first level along ax, on the chunks of source
+    that the slices `parts` cut along its batch axis: each chunk is checked
+    with `kernels.finite` and analysed straight into out, which has source's
+    shape and does not overlap it."""
+    n = out.shape[ax]
+    low = kernels._along(out.ndim, ax, slice(0, n // 2))
+    high = kernels._along(out.ndim, ax, slice(n // 2, n))
+    for part in parts:
+        index = kernels._along(out.ndim, batch, part)
+        chunk = source[index]
+        _check_finite(chunk, what)
+        done = out[index]
+        kernels.d4_analyze(chunk, (done[low], done[high]), axis=ax)
+
+
 def _pass(block: np.ndarray, ax: int, forward: bool, batch: int, parts) -> None:
     """One level along ax, in place, on the chunks of block that the slices
     `parts` cut along its batch axis: each chunk is analysed (or
@@ -124,18 +150,22 @@ def _pass(block: np.ndarray, ax: int, forward: bool, batch: int, parts) -> None:
         chunk[...] = done
 
 
-def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
-    """Run `levels` levels of out in place, along each of axes in turn.
+def _pyramid(out: np.ndarray, axes, levels: int, source=None, what: str = "") -> np.ndarray:
+    """Run `levels` levels along each of axes in turn, into out; returns out.
 
     Every axis in axes has the same length; any other axis is a batch axis,
     so a (side/t, t, side/t, t) view with axes (3, 1) moves all tiles at once.
-    The forward direction analyzes from the whole block down; the inverse
-    synthesizes from the smallest block up, along the axes in reverse order,
-    so it undoes the forward run exactly. Each pass along an axis works on
-    cache-sized chunks of a batch axis (see `_pass`), and the two halves of
-    its chunks run through `kernels.split`, each with its own scratch, so no
-    grid-sized workspace is allocated.
+    With a source, an array of out's shape named `what` in errors, the run
+    is forward: its first pass analyses source into out (see
+    `_analyse_into`), so source is read once and never written, and the
+    later passes analyse out in place, from the whole block down. Without
+    one, out is synthesized in place from the smallest block up, along the
+    axes in reverse order, which undoes the forward run exactly. Each pass
+    along an axis works on cache-sized chunks of a batch axis (see `_pass`),
+    and the two halves of its chunks run through `kernels.split`, each with
+    its own scratch, so no grid-sized workspace is allocated.
     """
+    forward = source is not None
     sizes = [out.shape[axes[0]] >> i for i in range(levels)]
     if not forward:
         sizes.reverse()
@@ -144,17 +174,21 @@ def _pyramid(out: np.ndarray, axes, levels: int, forward: bool) -> np.ndarray:
         block = _active(out, axes, n)
         for ax in axes:
             batch, rows = _chunks(block, ax)
-            kernels.split(functools.partial(_pass, block, ax, forward, batch),
-                          block.shape[batch], rows)
+            if source is not None:
+                work = functools.partial(_analyse_into, source, what, block, ax, batch)
+                source = None
+            else:
+                work = functools.partial(_pass, block, ax, forward, batch)
+            kernels.split(work, block.shape[batch], rows)
     return out
 
 
 def d4_forward_1d(signal, levels: int | None = None) -> WaveletCoeffs:
-    x = _as_real(signal, "signal")
+    x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 4:
         raise QPhaseError("invalid-dimension", f"signal must be 1D of length >= 4, got shape {x.shape}")
     levels = _check_levels(x.size, levels, "signal length")
-    return WaveletCoeffs(_pyramid(x.copy(), (0,), levels, True), levels)
+    return WaveletCoeffs(_pyramid(np.empty(x.shape), (0,), levels, x, "signal"), levels)
 
 
 def d4_inverse_1d(coeffs: WaveletCoeffs) -> np.ndarray:
@@ -162,11 +196,11 @@ def d4_inverse_1d(coeffs: WaveletCoeffs) -> np.ndarray:
     if out.ndim != 1:
         raise QPhaseError("invalid-dimension", f"expected 1D coefficients, got shape {out.shape}")
     _check_levels(out.size, coeffs.levels, "signal length")
-    return _pyramid(out, (0,), coeffs.levels, False)
+    return _pyramid(out, (0,), coeffs.levels)
 
 
-def _check_square(field, what: str) -> np.ndarray:
-    arr = _as_real(field, what)
+def _check_square(data, what: str) -> np.ndarray:
+    arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise QPhaseError("invalid-dimension", f"{what} must be square 2D, got shape {arr.shape}")
     if arr.shape[0] < 4:
@@ -177,17 +211,17 @@ def _check_square(field, what: str) -> np.ndarray:
 def d4_forward_2d(field, levels: int | None = None) -> WaveletCoeffs:
     grid = _check_square(field, "field")
     levels = _check_levels(grid.shape[0], levels, "field side")
-    return WaveletCoeffs(_pyramid(grid.copy(), (1, 0), levels, True), levels)
+    return WaveletCoeffs(_pyramid(np.empty(grid.shape), (1, 0), levels, grid, "field"), levels)
 
 
 def d4_inverse_2d(coeffs: WaveletCoeffs) -> np.ndarray:
-    out = _check_square(coeffs.values, "coefficients").copy()
+    out = _check_square(_as_real(coeffs.values, "coefficients"), "coefficients").copy()
     _check_levels(out.shape[0], coeffs.levels, "field side")
-    return _pyramid(out, (1, 0), coeffs.levels, False)
+    return _pyramid(out, (1, 0), coeffs.levels)
 
 
 def _tiles(grid: np.ndarray, tile: int) -> np.ndarray:
-    # tile (R, C) of the C-ordered copy is the view's [R, :, C, :]
+    # tile (R, C) of the square grid is the view's [R, :, C, :]
     side = grid.shape[0]
     return grid.reshape(side // tile, tile, side // tile, tile)
 
@@ -201,20 +235,20 @@ def tiled_forward_2d(field, tile_size: int) -> WaveletCoeffs:
         raise QPhaseError("invalid-dimension",
                           f"tile_size {tile_size} must be >= 4 and divide the side {side}")
     levels = _check_levels(tile_size, None, "field side")
-    out = grid.copy()
-    _pyramid(_tiles(out, tile_size), (3, 1), levels, True)
+    out = np.empty(grid.shape)
+    _pyramid(_tiles(out, tile_size), (3, 1), levels, _tiles(grid, tile_size), "field")
     return WaveletCoeffs(out, levels, tile_size=tile_size)
 
 
 def tiled_inverse_2d(coeffs: WaveletCoeffs) -> np.ndarray:
-    grid = _check_square(coeffs.values, "coefficients")
+    grid = _check_square(_as_real(coeffs.values, "coefficients"), "coefficients")
     side = grid.shape[0]
     tile = coeffs.tile_size
     if tile < 4 or side % tile != 0:
         raise QPhaseError("invalid-dimension", f"tile_size {tile} does not divide the side {side}")
     _check_levels(tile, coeffs.levels, "field side")
     out = grid.copy()
-    _pyramid(_tiles(out, tile), (3, 1), coeffs.levels, False)
+    _pyramid(_tiles(out, tile), (3, 1), coeffs.levels)
     return out
 
 

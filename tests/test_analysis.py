@@ -200,8 +200,9 @@ def test_wigner_scan_row_entropy_matches_whole_grid():
 
 
 def test_wigner_scan_row_holds_at_most_two_grids_and_a_chunk():
-    # S is taken and its weights freed before the D4 transform, whose
-    # pyramid needs no workspace beyond the coefficient copy
+    # S is taken from half-grid weights, read leaf by leaf with no second
+    # weight-sized array, and the weights are freed before the D4 transform,
+    # whose pyramid reads the grid straight into its one coefficient array
     peak = oracles.traced_peak(lambda: analysis.wigner_scan_row(2.0, 9, 50))
     grid_bytes = (2 << 9) ** 2 * 8
     assert peak <= 2.2 * grid_bytes
@@ -266,6 +267,45 @@ def test_chaotic_wavelet_compression_is_strong():
     raw = analysis.fit_scaling([(n, row.xi_raw) for n, row in pts])
     assert 0.0 <= wav.exponent < 0.25
     assert wav.exponent < raw.exponent
+
+
+def _entropy_reference(w):
+    # the plain formula over whole weight-sized arrays, in the order the
+    # blocked entropy must reproduce bit for bit
+    total = float(np.sum(w))
+    p = w / total
+    p *= np.log(p + (p == 0.0))
+    return -float(np.sum(p)) / np.log(2.0)
+
+
+@pytest.mark.parametrize("size", [1, 7, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5,
+                                  10 ** 6 + 3, 1 << 21])
+def test_entropy_equals_the_whole_array_formula(monkeypatch, size):
+    # weights with exact zeros and magnitudes over 30 decades, on sizes of
+    # one leaf, of one leaf plus one sample and of many leaves
+    rng = np.random.default_rng(size)
+    w = rng.uniform(size=size) * 10.0 ** rng.uniform(-30.0, 0.0, size=size)
+    w[rng.uniform(size=size) < 0.25] = 0.0
+    w[0] = 1.0
+    w /= w.sum()
+    plain = _entropy_reference(w)
+    two, one, _ = oracles.on_both_paths(monkeypatch, lambda: analysis.entropy(w))
+    assert two == plain and one == plain
+
+
+def test_entropy_holds_no_weight_sized_array():
+    w = np.random.default_rng(7).uniform(size=1 << 21)
+    w /= w.sum()
+    assert oracles.traced_peak(lambda: analysis.entropy(w)) < w.nbytes // 4
+
+
+def test_entropy_reports_a_negative_weight_before_a_nan_in_another_leaf():
+    w = np.full(3 * kernels.BLOCK, 1.0 / (3 * kernels.BLOCK))
+    w[5] = np.nan
+    w[-1] = -1.0
+    with pytest.raises(QPhaseError) as err:
+        analysis.entropy(w)
+    assert err.value.category == "invalid-parameter"
 
 
 def test_split_entropy_is_bit_identical_to_the_inline_entropy(monkeypatch):

@@ -548,3 +548,15 @@ def test_full_spellings_of_the_benchmark_commands_parse(tmp_path):
         args = vars(parser.parse_args(argv + ["--out", out]))
         assert args["out"] == out
         assert {key: args[key] for key in expect} == expect, argv
+
+
+def test_bench_outputs_prints_the_sha256_of_every_written_file(tmp_path, capsys):
+    from qphase import bench
+    assert bench.main(["--outputs", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = {name for name, _ in bench._output_commands(tmp_path / "p.pgm")}
+    assert {line.split("  ")[1].split("/")[0] for line in lines} == names
+    for line in lines:
+        digest, file = line.split("  ")
+        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest
+    assert len(lines) == len(names) + 1  # `wigner` writes a CSV and a PGM

@@ -167,6 +167,17 @@ def test_encode_all_black_rejected():
     assert err.value.category == "degenerate-input"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_amplitudes_must_be_finite(bad):
+    # a NaN energy compares false with everything, so the unit-energy test
+    # alone would let NaN through
+    values = np.full((4, 4), 0.25)
+    values[2, 3] = bad
+    with pytest.raises(QPhaseError) as err:
+        imageio.ImageAmplitudes(values)
+    assert err.value.category == "invalid-data"
+
+
 def test_encode_decode_within_one_gray_level(tmp_path):
     rng = np.random.default_rng(44)
     px = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)

@@ -285,6 +285,20 @@ def _threads_after(code: str) -> int:
     return int(run.stdout.split()[-1])
 
 
+@pytest.mark.parametrize("size", [0, 1, 129, kernels.BLOCK, kernels.BLOCK + 1,
+                                  3 * kernels.BLOCK + 5, 10 ** 6 + 3, (1 << 22) + 17])
+def test_pairwise_leaves_rebuild_numpy_sum_bit_for_bit(size):
+    # magnitudes over 30 decades, so a regrouped sum would round differently
+    rng = np.random.default_rng(size)
+    x = rng.uniform(size=size) * 10.0 ** rng.uniform(-30.0, 0.0, size=size)
+    leaves = kernels.pairwise_leaves(size)
+    assert [leaf.start for leaf in leaves] == [0] + [leaf.stop for leaf in leaves[:-1]]
+    assert leaves[-1].stop == size
+    assert all(leaf.stop - leaf.start <= kernels.BLOCK for leaf in leaves)
+    total = kernels.pairwise_total([np.sum(x[leaf]) for leaf in leaves], size)
+    assert total == float(np.sum(x))
+
+
 def test_import_loads_no_thread_pool_modules():
     # the helper's executor is imported when it first starts, so a fresh
     # process keeps the import-time memory of `import qphase`

@@ -239,19 +239,43 @@ def test_chunked_pyramid_is_bit_identical_to_the_plain_levels(side):
         sizes = [length >> i for i in range(length.bit_length() - 1)]
         # a forward run of L levels is the first L levels of the deepest one
         for levels, ref in enumerate(_reference_levels(x, axes, sizes, True), 1):
-            got = wavelet._pyramid(x.copy(), axes, levels, True)
+            got = wavelet._pyramid(np.empty(x.shape), axes, levels, x)
             assert np.array_equal(got, ref), (x.shape, levels, "forward")
         for levels in range(1, len(sizes) + 1):
             *_, ref = _reference_levels(x, axes[::-1], sizes[levels - 1::-1], False)
-            got = wavelet._pyramid(x.copy(), axes, levels, False)
+            got = wavelet._pyramid(x.copy(), axes, levels)
             assert np.array_equal(got, ref), (x.shape, levels, "inverse")
 
 
 def test_forward_2d_needs_no_grid_sized_workspace():
-    # the coefficient copy is the only field-sized allocation
-    field = np.random.default_rng(11).normal(size=(2048, 2048))
-    peak = oracles.traced_peak(lambda: wavelet.d4_forward_2d(field))
-    assert peak <= field.nbytes + (8 << 20)
+    # the coefficient array is the only input-sized allocation: the first
+    # pass analyses the input straight into it, with no copy of the input
+    rng = np.random.default_rng(11)
+    field = rng.normal(size=(2048, 2048))
+    for forward in (wavelet.d4_forward_2d, lambda f: wavelet.tiled_forward_2d(f, 16)):
+        peak = oracles.traced_peak(lambda: forward(field))
+        assert field.nbytes <= peak <= field.nbytes + (4 << 20)
+    # a 1D pass is one chunk: after the first, each pass over a block of n
+    # holds a scratch of n and the stencil's products of n/2, so the peak is
+    # the coefficients plus a half and a quarter of them (2.5 with a copy)
+    signal = rng.normal(size=1 << 20)
+    peak = oracles.traced_peak(lambda: wavelet.d4_forward_1d(signal))
+    assert peak <= 1.75 * signal.nbytes + (1 << 16)
+
+
+def test_forward_transforms_never_write_their_input():
+    # a read-only input works, and its bytes stay as they were
+    rng = np.random.default_rng(12)
+    field = rng.normal(size=(512, 512))
+    signal = rng.normal(size=1 << 12)
+    for forward, x in ((wavelet.d4_forward_1d, signal),
+                       (wavelet.d4_forward_2d, field),
+                       (lambda f: wavelet.tiled_forward_2d(f, 16), field)):
+        before = x.tobytes()
+        x.setflags(write=False)
+        coeffs = forward(x)
+        assert x.tobytes() == before
+        assert not np.shares_memory(coeffs.values, x)
 
 
 # Fixed example sequence and no per-example deadline: the suite must give the
@@ -322,6 +346,24 @@ def test_split_pyramid_is_bit_identical_to_the_inline_pyramid(monkeypatch):
         assert two.values.tobytes() == one.values.tobytes() and threads == ran_on
         two, one, threads = oracles.on_both_paths(monkeypatch, lambda: wavelet.inverse(two))
         assert two.tobytes() == one.tobytes() and threads == ran_on
+
+
+def _category(call):
+    with pytest.raises(QPhaseError) as exc:
+        call()
+    return exc.value.category
+
+
+def test_nan_or_inf_in_the_last_chunk_is_found_on_both_split_paths(monkeypatch):
+    # the first pass checks each chunk as it analyses it; the last chunk of
+    # a 512^2 field runs on the helper thread when the pass is split
+    for bad in (np.nan, np.inf, -np.inf):
+        field = np.zeros((512, 512))
+        field[-1, -1] = bad
+        for forward in (wavelet.d4_forward_2d, lambda f: wavelet.tiled_forward_2d(f, 16)):
+            two, one, threads = oracles.on_both_paths(
+                monkeypatch, lambda: _category(lambda: forward(field)))
+            assert two == one == "invalid-data" and threads == 2
 
 
 def test_input_check_finds_nan_and_inf_in_any_block():
