@@ -93,32 +93,31 @@ def wigner_ipr(values) -> float:
 def entropy(weights) -> float:
     """Shannon entropy in bits of a weight vector, renormalized internally.
 
-    The weights are read in leaves of at most `kernels.BLOCK` samples, the
-    pieces of numpy's pairwise sum (`kernels.pairwise_leaves`), in two
-    passes through `kernels.split`. The first checks the signs and sums each
-    leaf. The second turns each leaf into p ln(p + [p = 0]) in a leaf
-    buffer, so a zero weight gives 0 ln 1 = 0, and sums it. Leaf sums are
-    added as np.sum adds them (`kernels.pairwise_total`), so the total and
-    the entropy have the bits of np.sum over whole weight-sized arrays,
-    though no such array is made.
+    The weights are read in the pieces of the blocked sum rule
+    (`kernels.blocks`, at most `kernels.BLOCK` samples each), in two passes
+    through `kernels.split`. The first checks the signs and sums each piece.
+    The second turns each piece into p ln(p + [p = 0]) in a piece buffer, so
+    a zero weight gives 0 ln 1 = 0, and sums it. Each pass adds its piece
+    sums left to right (`kernels.add_in_order`), so no weight-sized array is
+    made and the bits depend on the weights alone, not on the pass order.
     """
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    leaves = kernels.pairwise_leaves(w.size)
-    # one entry per leaf, each written by the one slice that holds the leaf
-    sums = [0.0] * len(leaves)
-    negative = [False] * len(leaves)
+    pieces = kernels.blocks(w.size)
+    # one entry per piece, each written by the one slice that holds the piece
+    sums = [0.0] * len(pieces)
+    negative = [False] * len(pieces)
 
     def check(parts) -> None:
         for part in parts:
             for i in range(part.start, part.stop):
-                chunk = w[leaves[i]]
+                chunk = w[pieces[i]]
                 negative[i] = bool(np.any(chunk < 0))
                 sums[i] = np.sum(chunk)
 
-    kernels.split(check, len(leaves), 1)
+    kernels.split(check, len(pieces), 1)
     if any(negative):
         raise QPhaseError("invalid-parameter", "weights must be nonnegative")
-    total = kernels.pairwise_total(sums, w.size)
+    total = kernels.add_in_order(sums)
     if not math.isfinite(total):
         raise QPhaseError("invalid-data", f"weights sum to {total}: NaN, Inf or overflow")
     if total == 0.0:
@@ -126,13 +125,13 @@ def entropy(weights) -> float:
     if abs(total - 1.0) > 1e-8:
         warnings.warn(f"weights sum to {total:.6g}; renormalizing")
 
-    longest = max(leaf.stop - leaf.start for leaf in leaves)
+    longest = pieces[0].stop  # no piece is longer than the first
 
     def terms(parts) -> None:
         p, ln = np.empty(longest), np.empty(longest)
         for part in parts:
             for i in range(part.start, part.stop):
-                chunk = w[leaves[i]]
+                chunk = w[pieces[i]]
                 q, lq = p[:chunk.size], ln[:chunk.size]
                 np.divide(chunk, total, out=q)
                 np.add(q, q == 0.0, out=lq)
@@ -140,8 +139,8 @@ def entropy(weights) -> float:
                 q *= lq
                 sums[i] = np.sum(q)
 
-    kernels.split(terms, len(leaves), 1)
-    return -kernels.pairwise_total(sums, w.size) / math.log(2.0)
+    kernels.split(terms, len(pieces), 1)
+    return -kernels.add_in_order(sums) / math.log(2.0)
 
 
 def fit_scaling(points) -> ScalingFit:

@@ -73,7 +73,10 @@ def _region(text: str):
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file on the path, or no permission to write there
+        raise QPhaseError("invalid-parameter", f"--out {out}: {exc.strerror}") from exc
     return out
 
 

@@ -1,8 +1,8 @@
-"""Hot numeric kernels: the 4-tap wavelet level stencil, the blocked sums
-of squares and fourth powers, the leaves of numpy's pairwise sum (so a
-blocked sum keeps np.sum's bits), the classical map ensemble advance, the
-one NaN/inf check, and the one call that runs a loop over independent
-pieces on two cores.
+"""Hot numeric kernels: the 4-tap wavelet level stencil, the one blocked
+sum rule (np.sum per piece of BLOCK values, the piece sums added left to
+right) and the sums of squares and fourth powers by it, the classical map
+ensemble advance, the one NaN/inf check, and the one call that runs a loop
+over independent pieces on two cores.
 
 All are numpy only. The D4 stencil works along any axis, so 2D transforms
 need no transposes. The map advance is one loop of array updates on each
@@ -185,62 +185,47 @@ def d4_synthesize(a: np.ndarray, d: np.ndarray, out: np.ndarray, axis: int = -1)
 BLOCK = 1 << 16
 
 
-def _pairwise_half(n: int) -> int:
-    # numpy's pairwise sum of n > 128 float64 values adds the sum of its first
-    # n2 values to that of the rest, n2 being n // 2 rounded down to a multiple of 8
-    half = n // 2
-    return half - half % 8
+def blocks(n: int) -> list:
+    """The pieces of the package's one blocked sum of n values: consecutive
+    slices of range(n), each BLOCK values long but the last.
 
-
-def pairwise_leaves(n: int) -> list:
-    """The slices of range(n), in order, at which numpy's pairwise sum of n
-    float64 values splits down to pieces of at most BLOCK values.
-
-    np.sum of a contiguous float64 array is one pairwise sum over all of it,
-    so np.sum of each piece, added by `pairwise_total`, gives its bits
-    without the whole array being there at once.
+    np.sum is taken per piece and the piece sums are added left to right
+    (`add_in_order`), so a sum's bits are set by its values, not by how
+    numpy would split a whole array, and no value-sized temporary is needed.
     """
-    if n <= BLOCK:
-        return [slice(0, n)]
-    half = _pairwise_half(n)
-    return pairwise_leaves(half) + [slice(leaf.start + half, leaf.stop + half)
-                                     for leaf in pairwise_leaves(n - half)]
+    return [slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
 
 
-def pairwise_total(sums, n: int) -> float:
-    """The sums of the pieces of `pairwise_leaves(n)`, in order, added as
-    numpy's pairwise sum adds its halves."""
-    pieces = iter(sums)
-
-    def add(m: int) -> float:
-        if m <= BLOCK:
-            return float(next(pieces))
-        half = _pairwise_half(m)
-        return add(half) + add(m - half)
-
-    return add(n)
+def add_in_order(sums) -> float:
+    """The piece sums of `blocks`, added left to right. An explicit loop:
+    builtin sum() of floats compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for piece in sums:
+        total += float(piece)
+    return total
 
 
 def square_sums(values) -> tuple:
-    """(sum v^2, sum v^4) over every entry of values.
+    """(sum v^2, sum v^4) over every entry of values, by the blocked sum
+    rule of `blocks`.
 
-    The squares are taken in blocks of one reused buffer and squared again
-    in place, so no field-sized temporary is made; the block sums are added
-    in sequence. It runs on one thread: through `split` it took as long on
-    two threads as on one (36-37 ms at 4096^2 on a 2-vCPU machine), and the
-    second block buffer would double what `WignerGrid.total_sq` allocates.
+    The squares of each piece are taken in one reused buffer and squared
+    again in place, so no field-sized temporary is made. It runs on one
+    thread: through `split` it took as long on two threads as on one (36-37
+    ms at 4096^2 on a 2-vCPU machine), and the second block buffer would
+    double what `WignerGrid.total_sq` allocates.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     buf = np.empty(min(flat.size, BLOCK))
-    second = fourth = 0.0
-    for start in range(0, flat.size, BLOCK):
-        chunk = flat[start:start + BLOCK]
+    second, fourth = [], []
+    for piece in blocks(flat.size):
+        chunk = flat[piece]
         s = buf[:chunk.size]
         np.multiply(chunk, chunk, out=s)
-        second += float(np.sum(s))
+        second.append(np.sum(s))
         s *= s
-        fourth += float(np.sum(s))
-    return second, fourth
+        fourth.append(np.sum(s))
+    return add_in_order(second), add_in_order(fourth)
 
 
 def finite(x) -> bool:

@@ -113,11 +113,6 @@ def _chirp(n_q: int):
     return chirp
 
 
-# numpy's NPY_MIN_ELIDE_BYTES: from this size on it evaluates
-# `array * temporary` in the temporary's buffer
-_ELIDE_BYTES = 256 * 1024
-
-
 def _phases(params: RotatorParams):
     """M = e^{-i pi/4} kick D^2 over angle j, at [a, b] with j = N2 a + b
     (natural layout) and at [k1, k2] with j = k1 + N1 k2 (permuted).
@@ -144,15 +139,9 @@ def _phases(params: RotatorParams):
     kick = np.multiply(1j * params.k, x)
     del x
     np.exp(kick, out=kick)
-    # M = kick * phase into the phase's buffer. The two operand orders of a
-    # complex product round differently; this is the order numpy's
-    # temporary elision gives the expression kick * np.exp(...) on Linux
-    # (operands swapped once the temporary holds 256 KiB, n_q >= 14), so M
-    # and every evolved state keep the bits of that expression
-    if m.nbytes < _ELIDE_BYTES:
-        np.multiply(kick, m, out=m)
-    else:
-        np.multiply(m, kick, out=m)
+    # M = kick * phase into the phase's buffer, in that operand order at
+    # every n_q (the two orders of a complex product round differently)
+    np.multiply(kick, m, out=m)
     natural = m.reshape(n1, n2)
     permuted = kick.reshape(n1, n2)
     permuted[...] = m.reshape(n2, n1).T

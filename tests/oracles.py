@@ -51,6 +51,16 @@ def on_both_paths(monkeypatch, fn) -> tuple:
     return threaded, inline, ran_on
 
 
+def blocked_sum(x) -> float:
+    """The package's sum rule, stated plainly: np.sum of each run of 2^16
+    values, the run sums added left to right in a loop."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    total = 0.0
+    for start in range(0, x.size, 1 << 16):
+        total += float(np.sum(x[start:start + (1 << 16)]))
+    return total
+
+
 def random_state(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)

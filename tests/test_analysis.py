@@ -1,5 +1,7 @@
 """Localization measures, entropy bounds, scaling fits, scan rows."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -269,13 +271,13 @@ def test_chaotic_wavelet_compression_is_strong():
     assert wav.exponent < raw.exponent
 
 
-def _entropy_reference(w):
-    # the plain formula over whole weight-sized arrays, in the order the
-    # blocked entropy must reproduce bit for bit
-    total = float(np.sum(w))
+def _entropy_reference(w, add=oracles.blocked_sum):
+    # the plain formula over whole weight-sized arrays, both sums by the
+    # package's blocked sum rule, which the entropy must reproduce bit for bit
+    total = add(w)
     p = w / total
     p *= np.log(p + (p == 0.0))
-    return -float(np.sum(p)) / np.log(2.0)
+    return -add(p) / np.log(2.0)
 
 
 @pytest.mark.parametrize("size", [1, 7, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5,
@@ -289,6 +291,24 @@ def test_entropy_equals_the_whole_array_formula(monkeypatch, size):
     w[0] = 1.0
     w /= w.sum()
     plain = _entropy_reference(w)
+    two, one, _ = oracles.on_both_paths(monkeypatch, lambda: analysis.entropy(w))
+    assert two == plain and one == plain
+
+
+def _fsum_of_pieces(x):
+    return math.fsum(np.sum(x[start:start + kernels.BLOCK])
+                     for start in range(0, x.size, kernels.BLOCK))
+
+
+def test_entropy_adds_piece_sums_left_to_right(monkeypatch):
+    # one piece of uniform weights, S = 16 bits, and two pieces of 2^-72
+    # weights whose p ln p sums are each about 0.4 ulp of the first piece's:
+    # added left to right each rounds away, while an exactly rounded sum of
+    # the piece sums (math.fsum, or sum() from Python 3.12) keeps them
+    w = np.full(3 * kernels.BLOCK, 2.0 ** -16)
+    w[kernels.BLOCK:] = 2.0 ** -72
+    plain = _entropy_reference(w)
+    assert plain == 16.0 != _entropy_reference(w, _fsum_of_pieces)
     two, one, _ = oracles.on_both_paths(monkeypatch, lambda: analysis.entropy(w))
     assert two == plain and one == plain
 

@@ -251,6 +251,23 @@ def test_reconstruct_refuses_the_other_methods_option_before_reading(tmp_path, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["classical", "--K", "1", "--t", "1", "--seed", "1", "--shots", "10"],
+    ["wigner", "--K", "2", "--nq", "3", "--t", "1"],
+    ["husimi", "--K", "2", "--nq", "4", "--t", "1"],
+    ["scan", "image", "--fit-range", "4:8"],
+    ["reconstruct", "p.pgm", "--method", "topk", "--k", "4"],
+    ["amplify", "--K", "0.5", "--nq", "3", "--t", "0", "--region", "0:16,0:4"],
+], ids=lambda argv: argv[0])
+def test_unusable_out_is_an_invalid_parameter(tmp_path, argv):
+    # --out names an existing file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out in (blocker, blocker / "sub"):
+        assert main([*argv, "--out", str(out)]) == 2
+    assert blocker.read_text() == "kept"
+
+
 def test_scan_image_above_register_cap_is_a_resource_error(tmp_path):
     out = tmp_path / "big"
     assert main(["scan", "image", "--fit-range", "100:104", "--out", str(out)]) == 3

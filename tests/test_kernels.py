@@ -222,6 +222,12 @@ def _split_calls(n: int, size: int) -> list:
     return sorted(calls, key=lambda call: call[0] != threading.get_ident())
 
 
+def _assert_cover(parts, n, size):
+    # nonempty slices of at most size that cover range(n) once, in order
+    assert [i for part in parts for i in range(n)[part]] == list(range(n))
+    assert all(0 < part.stop - part.start <= size for part in parts)
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 def test_split_slices_cover_the_range_in_order(monkeypatch, cores):
     # one inline call for one slice's worth or one core; otherwise twice as
@@ -231,8 +237,7 @@ def test_split_slices_cover_the_range_in_order(monkeypatch, cores):
     for n, size in ((0, 4), (3, 4), (4, 4), (5, 4), (100_000, kernels.BLOCK), (1 << 20, 128)):
         calls = _split_calls(n, size)
         parts = [part for _, slices in calls for part in slices]
-        assert [i for part in parts for i in range(n)[part]] == list(range(n))
-        assert all(0 < part.stop - part.start <= size for part in parts)
+        _assert_cover(parts, n, size)
         count = -(-n // size)
         if count > 1 and cores > 1:
             assert len(parts) == 2 * count and len(calls) == 2
@@ -287,16 +292,25 @@ def _threads_after(code: str) -> int:
 
 @pytest.mark.parametrize("size", [0, 1, 129, kernels.BLOCK, kernels.BLOCK + 1,
                                   3 * kernels.BLOCK + 5, 10 ** 6 + 3, (1 << 22) + 17])
-def test_pairwise_leaves_rebuild_numpy_sum_bit_for_bit(size):
-    # magnitudes over 30 decades, so a regrouped sum would round differently
+def test_blocked_sum_pieces_cover_the_range_and_add_in_order(size):
+    # full BLOCK pieces but the last; magnitudes over 30 decades, so a
+    # regrouped sum of the piece sums would round differently
     rng = np.random.default_rng(size)
     x = rng.uniform(size=size) * 10.0 ** rng.uniform(-30.0, 0.0, size=size)
-    leaves = kernels.pairwise_leaves(size)
-    assert [leaf.start for leaf in leaves] == [0] + [leaf.stop for leaf in leaves[:-1]]
-    assert leaves[-1].stop == size
-    assert all(leaf.stop - leaf.start <= kernels.BLOCK for leaf in leaves)
-    total = kernels.pairwise_total([np.sum(x[leaf]) for leaf in leaves], size)
-    assert total == float(np.sum(x))
+    pieces = kernels.blocks(size)
+    _assert_cover(pieces, size, kernels.BLOCK)
+    assert all(piece.stop - piece.start == kernels.BLOCK for piece in pieces[:-1])
+    assert kernels.add_in_order([np.sum(x[piece]) for piece in pieces]) == oracles.blocked_sum(x)
+
+
+@pytest.mark.parametrize("shape", [(0,), (7,), (kernels.BLOCK,), (700, 300)])
+def test_square_sums_follow_the_blocked_sum_rule(shape):
+    # magnitudes over 15 decades, so a regrouped sum would round differently
+    rng = np.random.default_rng(sum(shape))
+    v = rng.normal(size=shape) * 10.0 ** rng.uniform(-15.0, 0.0, size=shape)
+    square = v * v
+    assert kernels.square_sums(v) == (oracles.blocked_sum(square),
+                                      oracles.blocked_sum(square * square))
 
 
 def test_import_loads_no_thread_pool_modules():

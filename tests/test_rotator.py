@@ -173,6 +173,22 @@ def test_evolve_peak_memory_is_about_one_state():
     assert peak < 1.25 * psi.nbytes
 
 
+@pytest.mark.parametrize("n_q", [13, 14])
+def test_kick_table_is_kick_times_phase_in_that_order(n_q):
+    # the two operand orders of a complex product round differently; both
+    # layouts of M hold kick * phase on either side of n_q 14, the first
+    # size whose table fills 256 KiB
+    params = rotator.RotatorParams(n_q=n_q, K=2.0)
+    N = params.N
+    j = np.arange(N, dtype=np.int64)
+    phase = np.exp(1j * (2.0 * np.pi / N * ((j * j) % N) - 0.25 * np.pi))
+    kick = np.exp(1j * params.k * np.cos(2.0 * np.pi * j / N))
+    expect = kick * phase
+    natural, permuted = rotator._phases(params)
+    assert np.array_equal(natural.reshape(-1), expect)
+    assert np.array_equal(permuted.T.reshape(-1), expect)  # permuted[k1, k2] = M[k1 + N1 k2]
+
+
 def _band_run(params, t):
     return rotator.evolve(rotator.initial_band_state(params), params, t)
 
