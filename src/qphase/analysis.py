@@ -36,7 +36,9 @@ class ScanRow:
     derived from them. S is an entropy in bits: for Wigner rows that of the
     raw weights 2N W^2, for Husimi rows that of |H|^2, and for image rows
     that of the squared wavelet coefficients, the weights whose 2^S tracks
-    xi_wavelet. Husimi rows read |H| as the amplitude field, which no
+    xi_wavelet. Each row squares the field it holds (the grid's left half W,
+    |H| or the coefficients) through `entropy_of_squares`, so no row makes
+    a squared copy. Husimi rows read |H| as the amplitude field, which no
     construction in the package prepares.
     """
 
@@ -90,28 +92,23 @@ def wigner_ipr(values) -> float:
     return 1.0 / ((v.shape[0] // 2) ** 2 * fourth)
 
 
-def entropy(weights) -> float:
-    """Shannon entropy in bits of a weight vector, renormalized internally.
-
-    The weights are read in the pieces of the blocked sum rule
-    (`kernels.blocks`, at most `kernels.BLOCK` samples each), in two passes
-    through `kernels.split`. The first checks the signs and sums each piece.
-    The second turns each piece into p ln(p + [p = 0]) in a piece buffer, so
-    a zero weight gives 0 ln 1 = 0, and sums it. Each pass adds its piece
-    sums left to right (`kernels.add_in_order`), so no weight-sized array is
-    made and the bits depend on the weights alone, not on the pass order.
-    """
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    pieces = kernels.blocks(w.size)
+def _entropy(load, n: int, signed: bool) -> float:
+    # the two passes of `entropy` and `entropy_of_squares` over the n values
+    # that load(piece, buffer) returns, one `kernels.blocks` piece at a time:
+    # a view of the weights, or the piece's scaled squares in the buffer
+    pieces = kernels.blocks(n)
     # one entry per piece, each written by the one slice that holds the piece
     sums = [0.0] * len(pieces)
     negative = [False] * len(pieces)
+    longest = pieces[0].stop if pieces else 0  # no piece is longer than the first
 
     def check(parts) -> None:
+        buf = np.empty(longest)
         for part in parts:
             for i in range(part.start, part.stop):
-                chunk = w[pieces[i]]
-                negative[i] = bool(np.any(chunk < 0))
+                chunk = load(pieces[i], buf)
+                if signed:
+                    negative[i] = bool(np.any(chunk < 0))
                 sums[i] = np.sum(chunk)
 
     kernels.split(check, len(pieces), 1)
@@ -125,13 +122,11 @@ def entropy(weights) -> float:
     if abs(total - 1.0) > 1e-8:
         warnings.warn(f"weights sum to {total:.6g}; renormalizing")
 
-    longest = pieces[0].stop  # no piece is longer than the first
-
     def terms(parts) -> None:
         p, ln = np.empty(longest), np.empty(longest)
         for part in parts:
             for i in range(part.start, part.stop):
-                chunk = w[pieces[i]]
+                chunk = load(pieces[i], p)
                 q, lq = p[:chunk.size], ln[:chunk.size]
                 np.divide(chunk, total, out=q)
                 np.add(q, q == 0.0, out=lq)
@@ -141,6 +136,65 @@ def entropy(weights) -> float:
 
     kernels.split(terms, len(pieces), 1)
     return -kernels.add_in_order(sums) / math.log(2.0)
+
+
+def entropy(weights) -> float:
+    """Shannon entropy in bits of a weight vector, renormalized internally.
+
+    The weights are read in the pieces of the blocked sum rule
+    (`kernels.blocks`, at most `kernels.BLOCK` samples each), in two passes
+    through `kernels.split`. The first checks the signs and sums each piece.
+    The second turns each piece into p ln(p + [p = 0]) in a piece buffer, so
+    a zero weight gives 0 ln 1 = 0, and sums it. Each pass adds its piece
+    sums left to right (`kernels.add_in_order`), so no weight-sized array is
+    made and the bits depend on the weights alone, not on the pass order.
+    A scan row's weights are squares of a field it holds; it passes the
+    field to `entropy_of_squares` instead, which makes no squared copy.
+    """
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    return _entropy(lambda piece, buf: w[piece], w.size, signed=True)
+
+
+def entropy_of_squares(values, scale: float = 1.0) -> float:
+    """`entropy` of the weights scale * v^2 over every entry v of values,
+    bit for bit, with no field-sized array.
+
+    Both passes square the values of each piece of the blocked sum rule into
+    their piece buffer and scale them in place, so each weight has the bits
+    of `v * v * scale` taken over the whole field. The values are read
+    through row views, so a column slice of a grid is not copied. Squares
+    have no sign to check; NaN or Inf in values, or squares past the float
+    range, make the total non-finite and raise `invalid-data`. In exact
+    arithmetic the entropy does not depend on scale; the rows pass the scale
+    that makes their weights sum to about 1, so no renormalization warning
+    is raised and S keeps the bits of the weights they once built whole.
+    """
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise QPhaseError("invalid-parameter", f"scale must be finite and > 0, got {scale}")
+    rows = np.asarray(values, dtype=np.float64)
+    if rows.ndim != 2:  # a 2D array, a column slice included, is read as it is
+        rows = rows.reshape(1, -1)
+    width = rows.shape[1]
+
+    def squares(piece, buf):
+        # the piece's whole rows in one call, its partial rows one each
+        out = buf[:piece.stop - piece.start]
+        done = 0
+        while done < out.size:
+            r, c = divmod(piece.start + done, width)
+            if c == 0 and out.size - done >= width:
+                m = (out.size - done) // width
+                src, dst = rows[r:r + m], out[done:done + m * width].reshape(m, width)
+            else:
+                m = min(width - c, out.size - done)
+                src, dst = rows[r, c:c + m], out[done:done + m]
+            np.multiply(src, src, out=dst)
+            done += dst.size
+        out *= scale
+        return out
+
+    return _entropy(squares, rows.size, signed=False)
 
 
 def fit_scaling(points) -> ScalingFit:
@@ -179,19 +233,15 @@ def wigner_scan_row(K: float, n_q: int, t: int) -> ScanRow:
 
     S is the entropy of p = 2N W^2 over the whole grid. W^2 is the same in
     the n < N and n >= N halves, so S is taken from the left half alone,
-    normalized on its own (4N W^2), plus one bit.
+    normalized on its own (4N W^2), plus one bit. `entropy_of_squares`
+    squares the view full[:, :N] piece by piece, so the row holds at most
+    the grid and the one grid-sized array of the D4 transform.
     """
     params = rotator.RotatorParams(n_q=n_q, K=K)
     psi = rotator.evolve(rotator.initial_band_state(params), params, t)
     grid = wigner.wigner_from_momentum(psi)
     full = grid.values
-    left = full[:, :grid.N]
-    weights = np.multiply(left, left)
-    weights *= 4 * grid.N
-    S = entropy(weights) + 1.0
-    # freed before the transform, so the row holds at most the grid and
-    # one more grid-sized array at a time
-    del weights
+    S = entropy_of_squares(full[:, :grid.N], 4 * grid.N) + 1.0
     return ScanRow(K=K, n_q=n_q, xi_raw=wigner_ipr(full),
                    xi_wavelet=wigner_ipr(wavelet.d4_forward_2d(full).values), S=S)
 
@@ -200,7 +250,8 @@ def husimi_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     """Modified-Husimi localization measures for the evolved band state.
 
     The participation ratios read the modulus |H| as an amplitude field, the
-    wavelet one after the D4 transform of |H|; S is the entropy of |H|^2.
+    wavelet one after the D4 transform of |H|; S is the entropy of |H|^2,
+    squared piece by piece from |H|.
     """
     if n_q % 2 != 0:
         raise QPhaseError("invalid-parameter", f"need even n_q, got {n_q}")
@@ -210,16 +261,16 @@ def husimi_scan_row(K: float, n_q: int, t: int) -> ScanRow:
     mod = np.abs(grid.H)
     return ScanRow(K=K, n_q=n_q, xi_raw=ipr(mod),
                    xi_wavelet=ipr(wavelet.d4_forward_2d(mod).values),
-                   S=entropy(mod * mod))
+                   S=entropy_of_squares(mod))
 
 
 def image_scan_row(amplitudes: np.ndarray, n_q: int, tile_size: int = 0) -> ScanRow:
     """Wavelet-domain localization of an image amplitude field; S is the
-    entropy of the squared wavelet coefficients."""
+    entropy of the squared wavelet coefficients, squared piece by piece."""
     if tile_size:
         coeffs = wavelet.tiled_forward_2d(amplitudes, tile_size)
     else:
         coeffs = wavelet.d4_forward_2d(amplitudes)
     c = coeffs.values
     return ScanRow(K=0.0, n_q=n_q, xi_raw=ipr(amplitudes), xi_wavelet=ipr(c),
-                   S=entropy(c * c))
+                   S=entropy_of_squares(c))

@@ -9,8 +9,9 @@ passes for the kicked-rotator evolution at n_q = 16, with its minor page
 faults per kick where the `resource` module exists, the bytes `rotator`
 still holds after evolving n_q = 16 at four K and the tracemalloc peak of a
 K switch (both as multiples of the state), the paired-FFT Wigner grid at n_q = 11,
-the 2D wavelet pyramid, the entropy of 2^23 weights (the size of a Wigner
-row's at n_q = 11), a whole Wigner scan row at n_q = 11, the classical
+the 2D wavelet pyramid, the entropy a Wigner row at n_q = 11 takes
+(`entropy_of_squares` of the (4096, 2048) left-half view of a 4096^2 grid
+at scale 4N), a whole Wigner scan row at n_q = 11, the classical
 map's `kernels.stdmap_advance` (also in ns per point-step) and the CSV grid
 dump into memory, of a random 1024x1024 grid (every row through the one
 "%.17g" row template) and of the Wigner grid that `qphase wigner --nq 9 --K 2
@@ -18,7 +19,7 @@ dump into memory, of a random 1024x1024 grid (every row through the one
 is printed with the min-max spread of its runs: three runs cannot tell a
 drifting machine from a changed program, so compare alternated runs. The
 pyramid, the entropy and the scan row also report their tracemalloc peak in
-one more, untimed pass, as a multiple of the field, weights or grid they
+one more, untimed pass, as a multiple of the field, half-grid or grid they
 work on. Every kernel has one numpy path.
 
 `python -m qphase.bench --outputs DIR` times nothing: it runs a fixed list
@@ -76,17 +77,20 @@ def _wavelet_case():
     return run
 
 
-# weights of the entropy case: those of a Wigner row at n_q = 11, (4096, 2048)
-_ENTROPY_WEIGHTS = 1 << 23
+# N of the entropy case: a Wigner row's at n_q = 11, whose S is read from
+# the (2N, N) left half of its (2N, 2N) grid
+_ENTROPY_N = 1 << 11
 
 
 def _entropy_case():
-    w = _rng(4).uniform(size=_ENTROPY_WEIGHTS)
-    w /= w.sum()
+    full = _rng(4).standard_normal((2 * _ENTROPY_N, 2 * _ENTROPY_N))
+    left = full[:, :_ENTROPY_N]
+    # the grid sum rule of a Wigner row: 4N sum W^2 = 1 over the left half
+    full /= np.sqrt(4 * _ENTROPY_N * np.sum(left * left))
 
     def run():
         from . import analysis
-        analysis.entropy(w)
+        analysis.entropy_of_squares(left, 4 * _ENTROPY_N)
 
     return run
 
@@ -269,7 +273,8 @@ def main(argv=None) -> int:
     for label, case, unit in (
             ("wigner_direct n_q=11", _wigner_case(), None),
             ("d4_forward_2d 1024x1024", _wavelet_case(), (1024 * 1024 * 8, "field")),
-            ("entropy 2^23 weights", _entropy_case(), (_ENTROPY_WEIGHTS * 8, "weights")),
+            ("entropy_of_squares 4096x2048 view", _entropy_case(),
+             (2 * _ENTROPY_N * _ENTROPY_N * 8, "half-grid")),
             ("wigner_scan_row K=2 n_q=11 t=1000", _scan_row_case(), (4096 * 4096 * 8, "grid")),
             ("stdmap 1e6 points x 100 steps", _stdmap_case(), None),
             ("write_grid_csv 1024x1024 random",

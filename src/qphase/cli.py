@@ -72,6 +72,8 @@ def _region(text: str):
 
 
 def _outdir(args) -> Path:
+    # called once every input is checked and the data is computed, just
+    # before the first write, so a refused run leaves no directory behind
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -107,13 +109,14 @@ def _write_manifest(outdir: Path, command: str, params: dict, files) -> None:
 
 
 def cmd_classical(args) -> int:
-    outdir = _outdir(args)
     ks = [args.K] if args.K is not None else list(STANDARD_K)
     written = []
     for K in ks:
         ens = stdmap.initial_band(K, count=args.shots, seed=args.seed)
         ens = stdmap.evolve_ensemble(ens, args.t)
         density = stdmap.histogram_density(ens, 256, 256)
+        # the first K checks every input: the later ones are standard values
+        outdir = _outdir(args)
         name = f"classical_K{K:g}_t{args.t}.pgm"
         imageio.render_heatmap(density, signed=False, path=outdir / name)
         written.append(name)
@@ -126,11 +129,11 @@ def cmd_classical(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    outdir = _outdir(args)
     params = rotator.RotatorParams(n_q=args.nq, K=args.K)
     psi = rotator.evolve(rotator.initial_band_state(params), params, args.t)
     grid = wigner.wigner_from_momentum(psi)
     full = grid.values
+    outdir = _outdir(args)
     with open(outdir / "wigner.csv", "w") as fh:
         imageio.write_grid_csv(full, fh)
     imageio.render_heatmap(full, signed=True, path=outdir / "wigner.pgm")
@@ -149,11 +152,11 @@ def cmd_wigner(args) -> int:
 def cmd_husimi(args) -> int:
     if args.nq % 2:  # the grid is sqrt(N) x sqrt(N); refuse before evolving
         raise QPhaseError("invalid-parameter", f"need even n_q, got {args.nq}")
-    outdir = _outdir(args)
     params = rotator.RotatorParams(n_q=args.nq, K=args.K)
     psi = rotator.evolve(rotator.initial_band_state(params), params, args.t)
     grid = husimi.modified_husimi(psi)
     probs = grid.probabilities
+    outdir = _outdir(args)
     with open(outdir / "husimi.csv", "w") as fh:
         imageio.write_grid_csv(probs, fh)
     imageio.render_heatmap(probs, signed=False, path=outdir / "husimi.pgm")
@@ -196,8 +199,8 @@ def _scan_rows(args):
 
 
 def cmd_scan(args) -> int:
-    outdir = _outdir(args)
     rows = _scan_rows(args)
+    outdir = _outdir(args)
     with open(outdir / "scan.csv", "w") as fh:
         fh.write("K,n_q,xi_raw,xi_wavelet,R,S\n")
         for row in rows:
@@ -218,7 +221,6 @@ def cmd_reconstruct(args) -> int:
     read, foreign = ("tile", "seed") if args.method == "topk" else ("seed", "tile")
     if getattr(args, foreign):
         raise QPhaseError("invalid-parameter", f"--method {args.method} reads no --{foreign}")
-    outdir = _outdir(args)
     image = imageio.load_pgm(args.image)
     amps = imageio.encode_wavefunction(image)
     if args.method == "topk":
@@ -230,6 +232,7 @@ def cmd_reconstruct(args) -> int:
     else:
         fld, l2, psnr = measurement.monte_carlo_reconstruct(amps.values, args.k, args.seed)
     out_px = np.clip(fld, 0.0, None)
+    outdir = _outdir(args)
     imageio.render_heatmap(out_px, signed=False, path=outdir / "reconstructed.pgm")
     _write_manifest(outdir, "reconstruct",
                     {"image": str(args.image), "method": args.method, "k": args.k,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qphase import analysis, kernels, rotator, wavelet, wigner
+from qphase import analysis, husimi, imageio, kernels, rotator, wavelet, wigner
 from qphase.errors import QPhaseError
 
 
@@ -199,6 +199,20 @@ def test_wigner_scan_row_entropy_matches_whole_grid():
             grid = wigner.wigner_from_momentum(psi)
             whole = analysis.entropy(grid.values * grid.values * (2 * grid.N))
             assert row.S == pytest.approx(whole, rel=1e-12, abs=0.0)
+            # and bit for bit the half-grid weights the row once built whole
+            left = grid.values[:, :grid.N]
+            assert row.S == analysis.entropy(left * left * (4 * grid.N)) + 1.0
+
+
+def test_husimi_scan_row_entropy_is_that_of_the_squared_modulus():
+    # n_q = 18 gives a 512^2 grid of four pieces, so the squares are taken
+    # piece by piece
+    for n_q in (8, 18):
+        row = analysis.husimi_scan_row(2.0, n_q, 5)
+        params = rotator.RotatorParams(n_q=n_q, K=2.0)
+        psi = rotator.evolve(rotator.initial_band_state(params), params, 5)
+        mod = np.abs(husimi.modified_husimi(psi).H)
+        assert row.S == analysis.entropy(mod * mod)
 
 
 def test_wigner_scan_row_holds_at_most_two_grids_and_a_chunk():
@@ -311,6 +325,71 @@ def test_entropy_adds_piece_sums_left_to_right(monkeypatch):
     assert plain == 16.0 != _entropy_reference(w, _fsum_of_pieces)
     two, one, _ = oracles.on_both_paths(monkeypatch, lambda: analysis.entropy(w))
     assert two == plain and one == plain
+
+
+def _field(shape, seed):
+    # a signed field with exact zeros and magnitudes over 15 decades
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-15.0, 0.0, size=shape)
+    v[rng.uniform(size=shape) < 0.25] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("shape, columns", [
+    ((7,), 7), ((1 << 16,), 1 << 16), ((64, 2048), 1024), ((96, 1500), 1000),
+    ((3, 70001), 70001), ((2, 3, 40000), 40000), ((1024, 1024), 1024)])
+def test_entropy_of_squares_is_the_entropy_of_the_squared_copy(monkeypatch, shape, columns):
+    # a column slice like a Wigner row's left half, pieces that start inside
+    # a row and rows longer than a piece, all bit for bit on both paths
+    v = _field(shape, columns)[..., :columns]
+    scale = 1.0 / float(np.sum(v * v))
+    whole = analysis.entropy(v * v * scale)
+    two, one, _ = oracles.on_both_paths(monkeypatch,
+                                        lambda: analysis.entropy_of_squares(v, scale))
+    assert two == whole and one == whole
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_entropy_of_squares_refuses_a_non_finite_total(bad):
+    # NaN or Inf anywhere, or a square past the float range, in a late piece
+    v = np.full((4, kernels.BLOCK), 1e-3)
+    v[3, 17] = bad
+    with pytest.raises(QPhaseError) as err:
+        analysis.entropy_of_squares(v[:, 1:], 2.0)
+    assert err.value.category == "invalid-data"
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_entropy_of_squares_needs_a_finite_positive_scale(scale):
+    with pytest.raises(QPhaseError) as err:
+        analysis.entropy_of_squares([0.5, 0.5], scale)
+    assert err.value.category == "invalid-parameter"
+
+
+def test_entropy_of_squares_reads_signed_values_and_zeros():
+    assert analysis.entropy_of_squares([-0.5, 0.5, 0.5, -0.5]) == pytest.approx(2.0)
+    assert analysis.entropy_of_squares([0.0, -1.0, 0.0]) == 0.0
+    with pytest.raises(QPhaseError) as err:
+        analysis.entropy_of_squares(np.zeros((3, 4)))
+    assert err.value.category == "degenerate-input"
+
+
+def test_entropy_of_squares_holds_no_field_sized_array():
+    # the left half of a 2048^2 grid, 16 MB, read through its column view
+    full = _field((2048, 2048), 3)
+    left = full[:, :1024]
+    scale = 1.0 / float(np.sum(left * left))
+    peak = oracles.traced_peak(lambda: analysis.entropy_of_squares(left, scale))
+    assert peak < left.size * 8 // 4
+
+
+def test_image_scan_row_holds_under_two_fields():
+    # the coefficients are the row's one field-sized array: at 1024^2 the
+    # traced peak measured 1.27 fields, and 2.27 when S squared a copy
+    amps = imageio.encode_wavefunction(imageio.corpus_image("portrait", 1024)).values
+    peak = oracles.traced_peak(lambda: analysis.image_scan_row(amps, 20))
+    assert peak < 1.6 * amps.nbytes
 
 
 def test_entropy_holds_no_weight_sized_array():

@@ -183,7 +183,7 @@ def test_scan_refuses_a_range_too_short_to_fit_before_any_row(tmp_path, monkeypa
                  "--fit-range", fit_range, "--out", str(out)])
     assert code == 2
     assert computed == []
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_rotator_scan_needs_kick_strength_and_count(tmp_path):
@@ -259,13 +259,35 @@ def test_reconstruct_refuses_the_other_methods_option_before_reading(tmp_path, m
     ["reconstruct", "p.pgm", "--method", "topk", "--k", "4"],
     ["amplify", "--K", "0.5", "--nq", "3", "--t", "0", "--region", "0:16,0:4"],
 ], ids=lambda argv: argv[0])
-def test_unusable_out_is_an_invalid_parameter(tmp_path, argv):
-    # --out names an existing file, or a path under one
+def test_unusable_out_is_an_invalid_parameter(tmp_path, monkeypatch, argv):
+    # --out names an existing file, or a path under one; every other input
+    # is valid, since inputs are checked before the directory is made
+    monkeypatch.chdir(tmp_path)
+    imageio.save_pgm(imageio.synthetic_corpus(16)["texture"], tmp_path / "p.pgm")
     blocker = tmp_path / "file"
     blocker.write_text("kept")
     for out in (blocker, blocker / "sub"):
         assert main([*argv, "--out", str(out)]) == 2
     assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scan", "image", "--fit-range", "4:6"], 2),
+    (["classical", "--K", "nan", "--t", "5", "--seed", "1", "--shots", "100"], 2),
+    (["scan", "husimi", "--K", "-1", "--t", "1", "--fit-range", "4:8"], 2),
+    (["wigner", "--nq", "100", "--K", "1", "--t", "1"], 3),
+    (["husimi", "--nq", "100", "--K", "1", "--t", "1"], 3),
+    (["scan", "wigner", "--K", "1", "--t", "1", "--fit-range", "20:30"], 3),
+    (["reconstruct", "truncated.pgm", "--method", "topk", "--k", "4"], 4),
+    (["reconstruct", "missing.pgm", "--method", "topk", "--k", "4"], 4),
+], ids=lambda value: " ".join(value[:2]) if isinstance(value, list) else None)
+def test_a_refused_run_makes_no_out_directory(tmp_path, monkeypatch, argv, code):
+    # every input is checked before --out is made, its parents included
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "truncated.pgm").write_bytes(b"P2\n4 4\n255\n0 0 0\n")
+    out = tmp_path / "d1" / "s"
+    assert main([*argv, "--out", str(out)]) == code
+    assert not out.parent.exists()
 
 
 def test_scan_image_above_register_cap_is_a_resource_error(tmp_path):
