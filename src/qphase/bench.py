@@ -203,8 +203,9 @@ def _csv_case(grid):
 
 def _output_commands(pgm: Path) -> list:
     """(name, argv) of the commands whose output bytes `--outputs` lists:
-    the seven of perfbench's `cli_outputs` workload at its full sizes, and a
-    small Wigner and image scan, each with fixed parameters and seeds."""
+    the seven of perfbench's `cli_outputs` workload at its full sizes, a
+    small Wigner and image scan and a `husimi` grid, each with fixed
+    parameters and seeds."""
     return [
         ("wigner", ["wigner", "--nq", "9", "--K", "2", "--t", "100"]),
         ("classical", ["classical", "--K", "2", "--t", "200", "--shots", "100000",
@@ -219,6 +220,7 @@ def _output_commands(pgm: Path) -> list:
         ("scan_husimi", ["scan", "husimi", "--K", "2", "--t", "1000", "--fit-range", "8:14"]),
         ("scan_wigner", ["scan", "wigner", "--K", "2", "--t", "100", "--fit-range", "5:9"]),
         ("scan_image", ["scan", "image", "--image", "portrait", "--fit-range", "10:18"]),
+        ("husimi", ["husimi", "--nq", "12", "--K", "2", "--t", "100"]),
     ]
 
 

@@ -22,13 +22,12 @@ import logging
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import (__version__, analysis, husimi, imageio, kernels, measurement, rotator, stdmap,
-               wavelet, wigner)
+from . import (__version__, analysis, husimi, imageio, measurement, rotator, stdmap, wavelet,
+               wigner)
 from .errors import QPhaseError
 from .statevec import check_register
 
@@ -69,6 +68,17 @@ def _region(text: str):
     if r0 < 0 or c0 < 0:
         raise argparse.ArgumentTypeError(f"negative coordinate in region {text!r}")
     return r0, r1, c0, c1
+
+
+def _check_out(out: str) -> None:
+    # before any work: an --out whose nearest existing ancestor is a file can
+    # never become a directory. Nothing is made here; _outdir makes it later.
+    # os.path reads an unreadable path as missing (Path raises before 3.12)
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise QPhaseError("invalid-parameter", f"--out {out}: {path} is not a directory")
 
 
 def _outdir(args) -> Path:
@@ -170,32 +180,31 @@ def cmd_husimi(args) -> int:
 
 def _scan_rows(args):
     lo, hi = args.fit_range
+    step = 1 if args.distribution == "wigner" else 2  # Husimi and image rows need even n_q
+    qubits = range(lo + lo % step, hi + 1, step)
     if args.distribution == "wigner":
-        todo = [(args.K, n) for n in range(lo, hi + 1)]
-        worker = lambda kn: analysis.wigner_scan_row(kn[0], kn[1], args.t)
+        worker = lambda n: analysis.wigner_scan_row(args.K, n, args.t)
     elif args.distribution == "husimi":
-        todo = [(args.K, n) for n in range(lo, hi + 1) if n % 2 == 0]
-        worker = lambda kn: analysis.husimi_scan_row(kn[0], kn[1], args.t)
+        worker = lambda n: analysis.husimi_scan_row(args.K, n, args.t)
     else:
-        todo = [(0.0, n) for n in range(lo, hi + 1) if n % 2 == 0]
-
-        def worker(kn):
-            image = imageio.corpus_image(args.image, 1 << (kn[1] // 2))
+        def worker(n):
+            image = imageio.corpus_image(args.image, 1 << (n // 2))
             amps = imageio.encode_wavefunction(image)
-            return analysis.image_scan_row(amps.values, kn[1], args.tile)
-    if len(todo) < 3:  # the fit needs three rows; refuse before any row runs
+            return analysis.image_scan_row(amps.values, n, args.tile)
+    # a range has its length and last value without holding its items, so
+    # both refusals come before any row runs, however wide --fit-range is
+    if len(qubits) < 3:  # the fit needs three rows
         raise QPhaseError("insufficient-data",
-                          f"range {lo}:{hi} has {len(todo)} usable qubit counts; the fit needs 3")
-    # refuse the largest row by the rows' own register rule before any row runs
-    n_max = todo[-1][1]
+                          f"range {lo}:{hi} has {len(qubits)} usable qubit counts; the fit needs 3")
+    # refuse the largest row by the rows' own register rule
+    n_max = qubits[-1]
     if args.distribution == "image":
         side = 1 << (n_max // 2)
         check_register(n_max, f"a {side}x{side} corpus image")
     else:
         rotator.RotatorParams(n_q=n_max, K=args.K)
-    with ThreadPoolExecutor(max_workers=min(len(todo), kernels.usable_cores())) as pool:
-        rows = list(pool.map(worker, todo))
-    return sorted(rows, key=lambda r: (r.K, r.n_q))
+    # one row at a time, in order of n_q: the peak memory is the largest row's
+    return [worker(n) for n in qubits]
 
 
 def cmd_scan(args) -> int:
@@ -358,9 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _one_malloc_arena() -> None:
     # glibc gives each thread an arena of its own that keeps the thread's freed
-    # scratch resident: at the peak of perfbench's `cli_outputs` run the scan
-    # pool's two threads held 2.27 and 2.28 MB and the split helper 1.33 MB,
-    # each with under 7 KB in use. M_ARENA_MAX binds only threads started later.
+    # scratch resident. The split helper is the only thread besides the main
+    # one; with this limit perfbench's `cli_outputs` peaked at 83.1 MB of RSS,
+    # against 84.4 MB without it (medians of 5 alternated pairs on 2 vCPUs).
+    # M_ARENA_MAX binds only threads started later.
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
     except (AttributeError, ValueError):  # no confstr, or no such name
@@ -377,6 +387,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return args.func(args)
     except QPhaseError as exc:
         log.error("%s: %s", exc.category, exc)

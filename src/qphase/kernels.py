@@ -19,8 +19,10 @@ second half, so loops whose numpy calls release the interpreter lock use a
 second core; otherwise work runs once, inline. Callers compute each output
 element from one slice alone, so every result is bit for bit the same on
 either path. Starting the helper changes nothing else in the process: a
-library process keeps glibc's malloc defaults, and `cli.main` gives the
-`qphase` command's scan pool threads and helper one arena (see there).
+library process keeps glibc's malloc defaults, and `cli.main` has the
+`qphase` command's main thread and the helper share one arena (see there).
+The helper is the only thread the package starts: `qphase scan` runs its
+rows one at a time.
 
 Filter taps: h = ((1+r3), (3+r3), (3-r3), (1-r3)) / (4 sqrt 2) with r3=sqrt 3,
 g_i = (-1)^i h_{3-i}. Coefficient k of a level pairs with samples
@@ -89,10 +91,9 @@ def split(work, n: int, size: int) -> None:
     the second, at the same time, each with buffers sized to its slices, so
     the two together hold the scratch of one inline run. Otherwise work runs
     once, inline, on the undoubled slices, so a caller never waits for the
-    helper. Two CLI scan pool rows and the helper can thus keep three
-    threads busy on two cores for a while; measured, that beat both a pool
-    whose rows never use the helper and rows run one at a time with it. An
-    exception from either half is raised once both have stopped.
+    helper: while one thread of a library caller holds it, another runs its
+    loops inline. An exception from either half is raised once both have
+    stopped.
     """
     global _helper
     count = -(-n // size)

@@ -261,14 +261,16 @@ def test_reconstruct_refuses_the_other_methods_option_before_reading(tmp_path, m
 ], ids=lambda argv: argv[0])
 def test_unusable_out_is_an_invalid_parameter(tmp_path, monkeypatch, argv):
     # --out names an existing file, or a path under one; every other input
-    # is valid, since inputs are checked before the directory is made
+    # is valid. It is refused before any work, so no scan row runs
     monkeypatch.chdir(tmp_path)
     imageio.save_pgm(imageio.synthetic_corpus(16)["texture"], tmp_path / "p.pgm")
+    computed = _rows_run(monkeypatch)
     blocker = tmp_path / "file"
     blocker.write_text("kept")
     for out in (blocker, blocker / "sub"):
         assert main([*argv, "--out", str(out)]) == 2
     assert blocker.read_text() == "kept"
+    assert computed == []
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -297,7 +299,7 @@ def test_scan_image_above_register_cap_is_a_resource_error(tmp_path):
 
 
 @pytest.mark.parametrize("distribution, fit_range", [
-    ("image", "16:24"), ("husimi", "18:24"), ("wigner", "20:23")])
+    ("image", "16:24"), ("husimi", "18:24"), ("wigner", "20:23"), ("wigner", "8:30000000")])
 def test_scan_refuses_a_range_above_the_cap_before_any_row(tmp_path, monkeypatch,
                                                            distribution, fit_range):
     computed = _rows_run(monkeypatch)
@@ -454,9 +456,9 @@ def _glibc() -> bool:
 
 @pytest.mark.skipif(not _glibc(), reason="malloc arenas are glibc's")
 def test_cli_threads_share_one_malloc_arena_whatever_the_command_order(tmp_path):
-    # glibc's malloc_stats prints one "Arena i:" block per arena. The scan
-    # pool's two threads start before the split helper and allocate rows'
-    # scratch; main limits the process to one arena before either exists
+    # glibc's malloc_stats prints one "Arena i:" block per arena. The split
+    # helper starts only with the second command, after the first has
+    # allocated; main limits the process to one arena before any thread exists
     src = str(Path(cli.__file__).resolve().parents[1])
     scan = ["scan", "husimi", "--K", "2", "--t", "1", "--fit-range", "8:12",
             "--out", str(tmp_path / "s")]
@@ -598,4 +600,4 @@ def test_bench_outputs_prints_the_sha256_of_every_written_file(tmp_path, capsys)
     for line in lines:
         digest, file = line.split("  ")
         assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest
-    assert len(lines) == len(names) + 1  # `wigner` writes a CSV and a PGM
+    assert len(lines) == len(names) + 2  # `wigner` and `husimi` write a CSV and a PGM

@@ -315,10 +315,10 @@ def test_square_sums_follow_the_blocked_sum_rule(shape):
 
 def test_import_loads_no_thread_pool_modules():
     # the helper's executor is imported when it first starts, so a fresh
-    # process keeps the import-time memory of `import qphase`
+    # process keeps the import-time memory of `import qphase` and of the CLI
     src = str(Path(kernels.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c",
-                          f"import sys; sys.path.insert(0, {src!r})\nimport qphase\n"
+                          f"import sys; sys.path.insert(0, {src!r})\nimport qphase.cli\n"
                           "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])"],
                          check=True, capture_output=True, text=True, timeout=120)
     assert run.stdout.split()[-1] == "[]"
@@ -343,6 +343,31 @@ def test_one_usable_cpu_never_starts_the_helper():
     assert _threads_after("from qphase import kernels\n"
                           "kernels.usable_cores = lambda: 2\n"
                           "kernels.split(list, 2, 1)") == 2
+
+
+def test_the_split_helper_is_the_only_thread_a_scan_starts(tmp_path):
+    # scan rows run one at a time on the calling thread. With two usable CPUs
+    # a Husimi scan's rows are one chunk each and start no thread; a Wigner
+    # scan's n_q = 9 row starts the split helper, and nothing else. The count
+    # after each row is also the count once the scan has returned
+    def threads(distribution, fit_range):
+        argv = ["scan", distribution, "--K", "2", "--t", "1", "--fit-range", fit_range,
+                "--out", str(tmp_path / distribution)]
+        return _threads_after(
+            "from qphase import analysis, cli, kernels\n"
+            "kernels.usable_cores = lambda: 2\n"
+            f"row, counts = analysis.{distribution}_scan_row, []\n"
+            "def counted(*args):\n"
+            "    result = row(*args)\n"
+            "    assert threading.current_thread() is threading.main_thread()\n"
+            "    counts.append(threading.active_count())\n"
+            "    return result\n"
+            f"analysis.{distribution}_scan_row = counted\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert max(counts) == threading.active_count(), counts")
+
+    assert threads("husimi", "8:12") == 1
+    assert threads("wigner", "5:9") == 2
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")

@@ -239,7 +239,7 @@ def test_alternating_params_in_one_thread_are_bit_identical():
 
 
 def test_two_threads_with_different_params_are_bit_identical_to_serial():
-    # as in the scan pool: two threads evolve different (n_q, K) at once and
+    # a library caller's two threads evolve different (n_q, K) at once and
     # keep replacing each other's table set in the slot
     lanes = ([rotator.RotatorParams(n_q=8, K=0.5), rotator.RotatorParams(n_q=9, K=2.0)] * 100,
              [rotator.RotatorParams(n_q=8, K=2.0), rotator.RotatorParams(n_q=9, K=0.9)] * 100)
