@@ -84,7 +84,7 @@ def wigner_ipr(values) -> float:
     sum W^2 = 1/(2N) this is 4 ipr(values); the normalization is fixed at
     1/N^2 rather than taken from the grid's own sum of squares.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = kernels.real(values, "values")
     fourth = kernels.square_sums(v)[1]
     _check_fourth(fourth)
     if fourth == 0.0:
@@ -151,7 +151,7 @@ def entropy(weights) -> float:
     A scan row's weights are squares of a field it holds; it passes the
     field to `entropy_of_squares` instead, which makes no squared copy.
     """
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    w = kernels.real(weights, "weights").reshape(-1)
     return _entropy(lambda piece, buf: w[piece], w.size, signed=True)
 
 
@@ -172,7 +172,7 @@ def entropy_of_squares(values, scale: float = 1.0) -> float:
     scale = float(scale)
     if not (math.isfinite(scale) and scale > 0.0):
         raise QPhaseError("invalid-parameter", f"scale must be finite and > 0, got {scale}")
-    rows = np.asarray(values, dtype=np.float64)
+    rows = kernels.real(values, "values")
     if rows.ndim != 2:  # a 2D array, a column slice included, is read as it is
         rows = rows.reshape(1, -1)
     width = rows.shape[1]

@@ -9,7 +9,9 @@ passes for the kicked-rotator evolution at n_q = 16, with its minor page
 faults per kick where the `resource` module exists, the bytes `rotator`
 still holds after evolving n_q = 16 at four K and the tracemalloc peak of a
 K switch (both as multiples of the state), the paired-FFT Wigner grid at n_q = 11,
-the 2D wavelet pyramid, the entropy a Wigner row at n_q = 11 takes
+the 2D wavelet pyramid of a random 1024^2 field and of a 4096^2 one (the
+size of the n_q = 11 Wigner grid, whose first level runs far out of L2
+cache), the entropy a Wigner row at n_q = 11 takes
 (`entropy_of_squares` of the (4096, 2048) left-half view of a 4096^2 grid
 at scale 4N), a whole Wigner scan row at n_q = 11, the classical
 map's `kernels.stdmap_advance` (also in ns per point-step) and the CSV grid
@@ -67,8 +69,8 @@ def _timed(times) -> str:
     return f"{statistics.median(times):8.4f}s [{times[0]:.4f}-{times[-1]:.4f}]"
 
 
-def _wavelet_case():
-    field = _rng(0).standard_normal((1024, 1024))
+def _wavelet_case(side: int):
+    field = _rng(0).standard_normal((side, side))
 
     def run():
         from . import wavelet
@@ -271,17 +273,21 @@ def main(argv=None) -> int:
         line += f"  minor faults/kick: {(_minor_faults() - before) / kicks:.1f}"
     held, switch = _rotator_tables()
     print(f"{line}  held after 4-K sweep: {held:.2f} x state  K-switch peak: {switch:.2f} x state")
-    # (label, case, (bytes, name) of the array its peak is measured against)
-    for label, case, unit in (
-            ("wigner_direct n_q=11", _wigner_case(), None),
-            ("d4_forward_2d 1024x1024", _wavelet_case(), (1024 * 1024 * 8, "field")),
-            ("entropy_of_squares 4096x2048 view", _entropy_case(),
+    # (label, maker of the case, (bytes, name) of the array its peak is
+    # measured against); each case is made in its turn and dropped after it,
+    # so no two 4096^2 inputs are held at once
+    for label, make, unit in (
+            ("wigner_direct n_q=11", _wigner_case, None),
+            ("d4_forward_2d 1024x1024", lambda: _wavelet_case(1024), (1024 * 1024 * 8, "field")),
+            ("d4_forward_2d 4096x4096", lambda: _wavelet_case(4096), (4096 * 4096 * 8, "field")),
+            ("entropy_of_squares 4096x2048 view", _entropy_case,
              (2 * _ENTROPY_N * _ENTROPY_N * 8, "half-grid")),
-            ("wigner_scan_row K=2 n_q=11 t=1000", _scan_row_case(), (4096 * 4096 * 8, "grid")),
-            ("stdmap 1e6 points x 100 steps", _stdmap_case(), None),
+            ("wigner_scan_row K=2 n_q=11 t=1000", _scan_row_case, (4096 * 4096 * 8, "grid")),
+            ("stdmap 1e6 points x 100 steps", _stdmap_case, None),
             ("write_grid_csv 1024x1024 random",
-             _csv_case(_rng(3).standard_normal((1024, 1024))), None),
-            ("write_grid_csv wigner n_q=9 t=100", _csv_case(_wigner_grid()), None)):
+             lambda: _csv_case(_rng(3).standard_normal((1024, 1024))), None),
+            ("write_grid_csv wigner n_q=9 t=100", lambda: _csv_case(_wigner_grid()), None)):
+        case = make()
         case()
         times = _times(case)
         line = f"{label:34s}  numpy: {_timed(times)}"
@@ -292,6 +298,7 @@ def main(argv=None) -> int:
             seconds = statistics.median(times)
             line += f"  {seconds / (_MAP_POINTS * _MAP_STEPS) * 1e9:.1f} ns/point-step"
         print(line)
+        del case
     return 0
 
 

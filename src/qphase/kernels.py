@@ -1,13 +1,16 @@
 """Hot numeric kernels: the 4-tap wavelet level stencil, the one blocked
 sum rule (np.sum per piece of BLOCK values, the piece sums added left to
 right) and the sums of squares and fourth powers by it, the classical map
-ensemble advance, the one NaN/inf check, and the one call that runs a loop
-over independent pieces on two cores.
+ensemble advance, the one refusal of complex input (`real`), the one NaN/inf
+check, and the one call that runs a loop over independent pieces on two
+cores.
 
 All are numpy only. The D4 stencil works along any axis, so 2D transforms
-need no transposes. The map advance is one loop of array updates on each
-cache-sized piece of the ensemble, and the cell wrap it applies
-(`wrap_theta`, `wrap_momentum`) is defined here once. `finite` reads an
+need no transposes, and on wrapped or wrap-extended operands (a forward
+transform's first level hands it flat, wrap-extended rows). The map advance
+is one loop of array updates on each cache-sized piece of the ensemble, and
+the cell wrap it applies (`wrap_theta`, `wrap_momentum`) is defined here
+once. `finite` reads an
 array's minimum and maximum, which NaN and inf reach, so it makes no
 array-sized temporary.
 
@@ -36,6 +39,8 @@ import os
 import threading
 
 import numpy as np
+
+from .errors import QPhaseError
 
 _R3 = math.sqrt(3.0)
 _S2 = math.sqrt(2.0)
@@ -128,24 +133,38 @@ _ODD = slice(1, None, 2)
 
 
 def _d4_level(p, q, axis, taps, step, out):
-    """y[k] = t0 p[k] + t1 q[k] + t2 p[k+step] + t3 q[k+step], indices
-    wrapped, summed left to right, for each tap row (t0, t1, t2, t3) and
-    output y. A shifted term is one product moved by one sample plus its one
-    wrapped edge element; one scratch buffer of p's shape holds every
-    product, so callers that want it in cache pass cache-sized pieces."""
-    head = _along(p.ndim, axis, slice(None, -1))
-    tail = _along(p.ndim, axis, slice(1, None))
-    last = _along(p.ndim, axis, slice(-1, None))
-    first = _along(p.ndim, axis, slice(0, 1))
-    # (destination, source) index pairs of y[k] += scratch[k + step]
-    shift = ((head, tail), (last, first)) if step > 0 else ((tail, head), (first, last))
-    scratch = np.empty(p.shape)
+    """y[k] = t0 p[k] + t1 q[k] + t2 p[k+step] + t3 q[k+step], summed left
+    to right, for each tap row (t0, t1, t2, t3) and output y.
+
+    The operands p and q either have y's length along axis, the neighbour
+    indices then wrapped: a shifted term is one product moved by one sample
+    plus its one wrapped edge element. Or they are wrap-extended, one sample
+    longer, carrying the wrap sample at the end (step +1) or at the start
+    (step -1): then every term is one array op with no edge element. Either
+    way each sum has the same bits. One scratch buffer of y's shape holds
+    every product, so callers that want it in cache pass cache-sized
+    pieces."""
+    n = out[0].shape[axis]
+    if p.shape[axis] == n:
+        now = nxt = ...
+        head = _along(p.ndim, axis, slice(None, -1))
+        tail = _along(p.ndim, axis, slice(1, None))
+        last = _along(p.ndim, axis, slice(-1, None))
+        first = _along(p.ndim, axis, slice(0, 1))
+        # (destination, source) index pairs of y[k] += scratch[k + step]
+        shift = ((head, tail), (last, first)) if step > 0 else ((tail, head), (first, last))
+    else:
+        lead = _along(p.ndim, axis, slice(0, n))
+        lag = _along(p.ndim, axis, slice(1, None))
+        now, nxt = (lead, lag) if step > 0 else (lag, lead)
+        shift = ((..., ...),)
+    scratch = np.empty(out[0].shape)
     for (t0, t1, t2, t3), y in zip(taps, out):
-        np.multiply(p, t0, out=y)
-        np.multiply(q, t1, out=scratch)
+        np.multiply(p[now], t0, out=y)
+        np.multiply(q[now], t1, out=scratch)
         y += scratch
         for tap, samples in ((t2, p), (t3, q)):
-            np.multiply(samples, tap, out=scratch)
+            np.multiply(samples[nxt], tap, out=scratch)
             for dst, src in shift:
                 y[dst] += scratch[src]
 
@@ -159,7 +178,7 @@ def d4_analyze(x: np.ndarray, out, axis: int = -1):
     to right, so the bits equal those of the plain expression (a regrouped
     sum rounds differently).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real(x, "samples")
     axis %= x.ndim
     _d4_level(x[_along(x.ndim, axis, _EVEN)], x[_along(x.ndim, axis, _ODD)],
               axis, (D4_H, D4_G), 1, out)
@@ -216,7 +235,7 @@ def square_sums(values) -> tuple:
     ms at 4096^2 on a 2-vCPU machine), and the second block buffer would
     double what `WignerGrid.total_sq` allocates.
     """
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    flat = real(values, "values").reshape(-1)
     buf = np.empty(min(flat.size, BLOCK))
     second, fourth = [], []
     for piece in blocks(flat.size):
@@ -227,6 +246,17 @@ def square_sums(values) -> tuple:
         s *= s
         fourth.append(np.sum(s))
     return add_in_order(second), add_in_order(fourth)
+
+
+def real(values, what: str) -> np.ndarray:
+    """values as a float64 array, named `what` in errors. A complex dtype
+    raises invalid-data: the float64 cast would drop the imaginary part
+    with no more than a warning, so complex data is split into its real
+    and imaginary parts by the caller."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise QPhaseError("invalid-data", f"{what} must be real, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=np.float64)
 
 
 def finite(x) -> bool:

@@ -7,19 +7,21 @@ approximation occupies the leading half of the active block and the detail
 the trailing half; 2D levels transform rows then columns of the shrinking
 top-left block. Full depth (approximation band of 4 samples in 1D, 4x4 in 2D)
 is the default. All three variants, in both directions, run one pyramid loop;
-a tiled field runs it on a 4D view of itself, every tile at once. Each pass
-along an axis goes through cache-sized chunks of a batch axis. A forward
-transform's first pass reads the input once: each chunk is checked for NaN
-and Inf (`kernels.finite`) and analysed straight into the new coefficient
-array, and the input is never written. Every later pass, and every pass of
-an inverse (which starts from a copy of the coefficients), works in place on
-the output, each chunk analysed (or synthesised) into a chunk-sized scratch
+a tiled field runs it on a 4D view of itself, every tile at once. A forward
+transform's first level, along both axes of a 2D field, is one sweep over
+bands of whole input rows (`_first_level`): each band is checked for NaN and
+Inf (`kernels.finite`), row-filtered and column-filtered in cache-sized
+buffers, and analysed straight into the new coefficient array, which gets
+each first-level coefficient once; the input is never written. Every later
+pass, and every pass of an inverse (which starts from a copy of the
+coefficients), works in place on the output through cache-sized chunks of a
+batch axis, each chunk analysed (or synthesised) into a chunk-sized scratch
 and copied back. So no grid-sized workspace is allocated: a forward
-transform allocates its coefficient array, an inverse its output, and
-chunk-sized scratch. A pass of more than one chunk runs the two halves of
-its chunks at once through `kernels.split`, each half with its own scratch;
-chunks never share an output sample, so the coefficients are the same bits
-on either path.
+transform allocates its coefficient array, an inverse its output, and band-
+or chunk-sized scratch. Wide bands, and a pass of more than one chunk, run
+their two halves at once through `kernels.split`, each half with its own
+scratch; halves never share an output sample, so the coefficients are the
+same bits on either path.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 
 
 def _as_real(data, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    arr = kernels.real(data, what)
     _check_finite(arr, what)
     return arr
 
@@ -86,6 +88,12 @@ _CHUNK = 1 << 16
 # runs cost more in loop overhead than the cache saves. On two cores
 # `kernels.split` halves it (see _chunks)
 _RUN = 64
+# a band of a forward transform's first level is _BAND_ROWS source rows, but
+# no fewer than _BAND samples and no more than _WIDE; bands of _WIDE samples
+# run their two halves at once (see _first_level)
+_BAND = 1 << 16
+_BAND_ROWS = 64
+_WIDE = 1 << 18
 
 
 def _chunks(block: np.ndarray, axis: int) -> tuple:
@@ -94,15 +102,13 @@ def _chunks(block: np.ndarray, axis: int) -> tuple:
     entries wide when that axis is the last one; a 1D block is one chunk,
     its whole length along axis 0.
 
-    A block of more than one such chunk, when `kernels.split` runs the two
-    halves of its chunks at once, gets chunks of half that size and width,
-    so the two halves hold the scratch of one chunk between them. Column
-    chunks of a side of 1024 or more are then 32 wide, below _RUN; that is
-    the price of the memory bound. At 4096^2 on two threads the forward 2D
-    transform took 364 ms with them, 345 ms with 64-wide column chunks
-    (which hold twice the scratch: an n_q = 9 Wigner row then peaks at 2.22
-    grids, above its 2.2-grid bound) and 324 ms with no halving at all
-    (medians of 7 alternated calls on a 2-vCPU machine)."""
+    Chunks serve every pass but a forward transform's first level, which
+    goes through bands (see _first_level). A block of more than one such
+    chunk, when `kernels.split` runs the two halves of its chunks at once,
+    gets chunks of half that size and width, so the two halves hold the
+    scratch of one chunk between them. Column chunks of a block side of 1024
+    or more are then 32 wide, below _RUN; that is the price of the memory
+    bound."""
     if block.ndim == 1:
         return 0, block.size
     batch = max((ax for ax in range(block.ndim) if ax != axis), key=lambda ax: block.shape[ax])
@@ -112,21 +118,138 @@ def _chunks(block: np.ndarray, axis: int) -> tuple:
     return batch, rows
 
 
-def _analyse_into(source: np.ndarray, what: str, out: np.ndarray, ax: int, batch: int,
-                  parts) -> None:
-    """A forward transform's first level along ax, on the chunks of source
-    that the slices `parts` cut along its batch axis: each chunk is checked
-    with `kernels.finite` and analysed straight into out, which has source's
-    shape and does not overlap it."""
-    n = out.shape[ax]
-    low = kernels._along(out.ndim, ax, slice(0, n // 2))
-    high = kernels._along(out.ndim, ax, slice(n // 2, n))
+def _first_level(source: np.ndarray, out: np.ndarray, what: str) -> None:
+    """A forward transform's first level along every axis, read from source
+    and written into out (same shape, no overlap) in one sweep; source is
+    checked with `kernels.finite` as it is read and never written.
+
+    out is a signal (no column filter, see `_signal_level`), a square field,
+    or the (strips, rows, segments, samples) view of a tiled one: a field is
+    one strip of rows of one segment. A field is swept in bands of whole
+    source rows (see `_bands`): _BAND_ROWS rows, but at least _BAND and at
+    most _WIDE samples, or whole strips when that covers them. Bands of
+    _WIDE samples, from a side of 4096 up, run their two halves through
+    `kernels.split`, each half in cache; narrower bands run inline, since
+    their numpy calls are too short to share two cores (at 1024^2 the first
+    level took 7.9 ms inline and 14.5 ms on two threads with half-height
+    bands, medians of 80 alternated calls on a 2-vCPU machine)."""
+    if out.ndim == 1:
+        _signal_level(source, out, what)
+        return
+    if out.ndim == 2:
+        source, out = source[None, :, None], out[None, :, None]
+    strips, rows, segments, samples = out.shape
+    line = segments * samples
+    band_rows = min(max(_BAND_ROWS, _BAND // line), max(2, _WIDE // line))
+    unit = rows // 2 if rows <= band_rows else 1  # output row pairs per unit
+    per = max(1, band_rows // 2 // unit)
+    units = strips * rows // 2 // unit
+    work = functools.partial(_bands, source, out, what, unit)
+    if 2 * unit * per * line >= _WIDE:
+        kernels.split(work, units, per)
+    else:
+        work(kernels._slices(units, -(-units // per)))
+
+
+def _signal_level(source, out, what) -> None:
+    # a signal's first level: pieces of at most _BAND samples, each
+    # wrap-extended by the two samples after it
+    n = out.size
+    piece = min(n, _BAND)
+    rows = source.reshape(-1, piece)
+    low = out[:n // 2].reshape(-1, piece // 2)
+    high = out[n // 2:].reshape(-1, piece // 2)
+    e, o = np.empty((2, piece // 2 + 1))
+    for i, row in enumerate(rows):
+        after = rows[(i + 1) % len(rows)]
+        e[:-1], e[-1] = row[0::2], after[0]
+        o[:-1], o[-1] = row[1::2], after[1]
+        _check_finite(e, what)
+        _check_finite(o, what)
+        kernels._d4_level(e, o, 0, (kernels.D4_H, kernels.D4_G), 1, (low[i], high[i]))
+
+
+def _bands(source, out, what, unit, parts) -> None:
+    """The first level of the bands of output row pairs that the slices
+    `parts` cut, `unit` pairs at a time, from a (strips, rows, segments,
+    samples) source: the row filter runs along samples and wraps within a
+    segment, the column filter along rows and wraps within a strip.
+
+    A band that makes output rows k0..k1 (approximation) and half+k0..half+k1
+    (detail) reads source rows 2 k0 .. 2 k1 + 1, the last two wrapping to
+    rows 0 and 1 at the end of a strip. Each parity of them in turn is
+    copied into even and odd polyphase rows, every segment followed by its
+    wrap sample, and row-filtered, flat, into the band's filtered rows. The
+    column filter then shifts those flat by one row, into the polyphase
+    buffer, and the rows it needs are copied into out. The bands of one
+    call run in order, so a band that goes on where the last one stopped
+    takes its first filtered rows from it. Every sum keeps the order of the
+    plain expression, so out holds the bits of two plain passes."""
+    strips, rows, segments, samples = out.shape
+    half, h = rows // 2, samples // 2
+    width = segments * (h + 1)  # one polyphase row: every segment wrap-extended
+    most = max(part.stop - part.start for part in parts) * unit
+    size = (most + -(-most // half)) * width  # filtered rows of one parity and half
+    # even and odd samples of one parity, each with one spare sample that
+    # the last row's unused wrap-column output reads; the column filter
+    # then writes each of its two outputs into the same buffer
+    polyphase = np.zeros(2 * size + 2)
+    e, o = polyphase[:size + 1], polyphase[size + 1:]
+    filtered = np.empty(4 * size)
+    taps = (kernels.D4_H, kernels.D4_G)
+    carry = None
     for part in parts:
-        index = kernels._along(out.ndim, batch, part)
-        chunk = source[index]
-        _check_finite(chunk, what)
-        done = out[index]
-        kernels.d4_analyze(chunk, (done[low], done[high]), axis=ax)
+        start, stop = part.start * unit, part.stop * unit
+        while start < stop:
+            strip, k0 = divmod(start, half)
+            if unit == half:
+                band, k1 = slice(strip, stop // half), half
+            else:
+                band, k1 = slice(strip, strip + 1), min(half, k0 + stop - start)
+            b, m = band.stop - band.start, k1 - k0
+            # (parity, approx or detail, strip, row, segment, sample)
+            f = filtered[:4 * b * (m + 1) * width].reshape(2, 2, b, m + 1, segments, h + 1)
+            first = 0
+            if carry is not None and carry[0] == start:
+                f[:, :, :, 0] = carry[1]
+                first = 1
+            src = source[band]
+            body = src[:, 2 * (k0 + first):min(2 * k1 + 2, rows)]
+            count = m + 1 - first
+            reads = [body.reshape(b, -1, 2, segments, samples)]
+            if reads[0].shape[1] < count:
+                reads.append(src[:, None, :2])  # the wrap rows of the strip
+            for read in reads:
+                _check_finite(read, what)
+            n = b * count * width
+            pe = e[:n].reshape(b, count, segments, h + 1)
+            po = o[:n].reshape(b, count, segments, h + 1)
+            for parity in (0, 1):
+                at = 0
+                for read in reads:
+                    x = read[:, :, parity]
+                    got = slice(at, at + x.shape[1])
+                    pe[:, got, :, :-1], pe[:, got, :, -1] = x[..., 0::2], x[..., 0]
+                    po[:, got, :, :-1], po[:, got, :, -1] = x[..., 1::2], x[..., 1]
+                    at = got.stop
+                # a carry comes only between bands of one strip, so these
+                # rows are contiguous and flatten to views
+                rows_out = f[parity, :, :, first:]
+                kernels._d4_level(e[:n + 1], o[:n + 1], 0, taps, 1,
+                                  (rows_out[0].reshape(-1), rows_out[1].reshape(-1)))
+            start += b * m
+            if k1 < half:
+                carry = (start, f[:, :, :, m].copy())
+            # a flat shift by one filtered row: the rows that straddle two
+            # strips, or the approximation and detail halves, go unused
+            lines = 2 * b * (m + 1)
+            even, odd = f[0].reshape(lines, width), f[1].reshape(lines, width)
+            col = polyphase[:lines * width].reshape(lines, width)
+            for tap, k in ((kernels.D4_H, k0), (kernels.D4_G, half + k0)):
+                kernels._d4_level(even, odd, 0, (tap,), 1, (col[:-1],))
+                done = col.reshape(2, b, m + 1, segments, h + 1)[:, :, :m, :, :h]
+                out[band, k:k + m].reshape(b, m, segments, 2, h)[...] = \
+                    done.transpose(1, 2, 3, 0, 4)
 
 
 def _pass(block: np.ndarray, ax: int, forward: bool, batch: int, parts) -> None:
@@ -156,35 +279,35 @@ def _pyramid(out: np.ndarray, axes, levels: int, source=None, what: str = "") ->
     Every axis in axes has the same length; any other axis is a batch axis,
     so a (side/t, t, side/t, t) view with axes (3, 1) moves all tiles at once.
     With a source, an array of out's shape named `what` in errors, the run
-    is forward: its first pass analyses source into out (see
-    `_analyse_into`), so source is read once and never written, and the
-    later passes analyse out in place, from the whole block down. Without
-    one, out is synthesized in place from the smallest block up, along the
-    axes in reverse order, which undoes the forward run exactly. Each pass
-    along an axis works on cache-sized chunks of a batch axis (see `_pass`),
-    and the two halves of its chunks run through `kernels.split`, each with
-    its own scratch, so no grid-sized workspace is allocated.
+    is forward: its first level, along every axis at once, reads source in
+    one sweep of bands and writes out (see `_first_level`, which takes the
+    axes (0,), (1, 0) or (3, 1) of the three variants), so source is read
+    once and never written; the later levels analyse out in place, from the
+    whole block down. Without one, out is synthesized in place from the
+    smallest block up, along the axes in reverse order, which undoes the
+    forward run exactly. Each of these in-place passes along an axis works
+    on cache-sized chunks of a batch axis (see `_pass`), and the two halves
+    of its chunks run through `kernels.split`, each with its own scratch, so
+    no grid-sized workspace is allocated.
     """
     forward = source is not None
     sizes = [out.shape[axes[0]] >> i for i in range(levels)]
-    if not forward:
+    if forward:
+        _first_level(source, out, what)
+        sizes = sizes[1:]
+    else:
         sizes.reverse()
         axes = axes[::-1]
     for n in sizes:
         block = _active(out, axes, n)
         for ax in axes:
             batch, rows = _chunks(block, ax)
-            if source is not None:
-                work = functools.partial(_analyse_into, source, what, block, ax, batch)
-                source = None
-            else:
-                work = functools.partial(_pass, block, ax, forward, batch)
-            kernels.split(work, block.shape[batch], rows)
+            kernels.split(functools.partial(_pass, block, ax, forward, batch), block.shape[batch], rows)
     return out
 
 
 def d4_forward_1d(signal, levels: int | None = None) -> WaveletCoeffs:
-    x = np.asarray(signal, dtype=np.float64)
+    x = kernels.real(signal, "signal")
     if x.ndim != 1 or x.size < 4:
         raise QPhaseError("invalid-dimension", f"signal must be 1D of length >= 4, got shape {x.shape}")
     levels = _check_levels(x.size, levels, "signal length")
@@ -200,7 +323,7 @@ def d4_inverse_1d(coeffs: WaveletCoeffs) -> np.ndarray:
 
 
 def _check_square(data, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    arr = kernels.real(data, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise QPhaseError("invalid-dimension", f"{what} must be square 2D, got shape {arr.shape}")
     if arr.shape[0] < 4:

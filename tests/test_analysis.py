@@ -423,3 +423,21 @@ def test_one_chunk_rows_run_inline(monkeypatch):
                 lambda: analysis.wigner_scan_row(2.0, 5, 10)):
         two, one, threads = oracles.on_both_paths(monkeypatch, row)
         assert two == one and threads == 1
+
+
+_COMPLEX = np.ones((8, 8)) + 1j
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analysis.ipr(_COMPLEX),
+    lambda: analysis.wigner_ipr(_COMPLEX),
+    lambda: analysis.entropy(_COMPLEX.reshape(-1) / 64),
+    lambda: analysis.entropy_of_squares(_COMPLEX),
+    lambda: kernels.square_sums(_COMPLEX),
+], ids=["ipr", "wigner_ipr", "entropy", "entropy_of_squares", "square_sums"])
+def test_complex_input_is_refused_not_cast(call):
+    # a float64 cast would keep the real part with only a ComplexWarning;
+    # complex data is split into its real and imaginary parts by the caller
+    with pytest.raises(QPhaseError) as err:
+        call()
+    assert err.value.category == "invalid-data"

@@ -355,8 +355,11 @@ def _category(call):
 
 
 def test_nan_or_inf_in_the_last_chunk_is_found_on_both_split_paths(monkeypatch):
-    # the first pass checks each chunk as it analyses it; the last chunk of
-    # a 512^2 field runs on the helper thread when the pass is split
+    # the first level checks each band as it reads it; the last band of a
+    # 512^2 field runs on the helper thread when the bands are split, which
+    # the first level does for bands of _WIDE samples, here set to the 2^16
+    # samples of a 512^2 band
+    monkeypatch.setattr(wavelet, "_WIDE", wavelet._BAND)
     for bad in (np.nan, np.inf, -np.inf):
         field = np.zeros((512, 512))
         field[-1, -1] = bad
@@ -379,3 +382,71 @@ def test_input_check_finds_nan_and_inf_in_any_block():
             with pytest.raises(QPhaseError) as exc:
                 call()
             assert exc.value.category == "invalid-data"
+
+
+def _first_level(x, axes):
+    return wavelet._pyramid(np.empty(x.shape), axes, 1, x)
+
+
+def _narrow_bands(monkeypatch, rows: int) -> None:
+    # on 64-sample lines: bands of `rows` source rows (rows / 2 output row
+    # pairs), 1D pieces of 8 samples, and every band count above one split
+    # over two threads
+    monkeypatch.setattr(wavelet, "_BAND", 8)
+    monkeypatch.setattr(wavelet, "_BAND_ROWS", rows)
+    monkeypatch.setattr(wavelet, "_WIDE", rows * 64)
+
+
+@pytest.mark.parametrize("rows", [2, 6, 10, 32])
+def test_first_level_bands_are_bit_identical_to_the_plain_level(monkeypatch, rows):
+    # on 64^2 and 64 samples: with 6 rows a band makes 3 row pairs, so the
+    # 32 pairs of a 2D field are 11 bands inline (an odd count, the first
+    # short) and 22 split; with tile 32 a band runs past the end of a strip
+    # and is cut there (a short band that wraps, then the next strip); with
+    # 32 rows a band is two whole strips of tile 16. The last band of every
+    # strip, and the last piece of the signal, wraps to its first rows
+    _narrow_bands(monkeypatch, rows)
+    rng = np.random.default_rng(20 + rows)
+    field = rng.normal(size=(64, 64))
+    cases = [(rng.normal(size=64), (0,), 64), (field, (1, 0), 64),
+             (wavelet._tiles(field, 16), (3, 1), 16), (wavelet._tiles(field, 32), (3, 1), 32)]
+    for x, axes, length in cases:
+        ref = next(_reference_levels(x, axes, [length], True))
+        two, one, _ = oracles.on_both_paths(monkeypatch, lambda: _first_level(x, axes))
+        assert np.array_equal(two, ref) and np.array_equal(one, ref), (x.shape, rows)
+
+
+@pytest.mark.parametrize("row", [0, 1, 63])
+def test_nan_or_inf_in_a_wrap_row_is_found_on_both_split_paths(monkeypatch, row):
+    # rows 0 and 1 are read by the first band and again by the last, as its
+    # wrap rows; the last row only by the last band
+    _narrow_bands(monkeypatch, 6)
+    for bad in (np.nan, np.inf, -np.inf):
+        field = np.zeros((64, 64))
+        field[row, row] = bad
+        signal = np.zeros(64)
+        signal[row] = bad
+        for forward, x in ((wavelet.d4_forward_2d, field), (wavelet.d4_forward_1d, signal),
+                           (lambda f: wavelet.tiled_forward_2d(f, 16), field),
+                           (lambda f: wavelet.tiled_forward_2d(f, 32), field)):
+            two, one, _ = oracles.on_both_paths(
+                monkeypatch, lambda: _category(lambda: forward(x)))
+            assert two == one == "invalid-data", (row, bad)
+
+
+_COMPLEX = np.ones((8, 8)) + 1j
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wavelet.d4_forward_1d(_COMPLEX[0]),
+    lambda: wavelet.d4_forward_2d(_COMPLEX),
+    lambda: wavelet.tiled_forward_2d(_COMPLEX, 4),
+    lambda: wavelet.d4_inverse_1d(wavelet.WaveletCoeffs(_COMPLEX[0], 1)),
+    lambda: wavelet.d4_inverse_2d(wavelet.WaveletCoeffs(_COMPLEX, 1)),
+    lambda: wavelet.tiled_inverse_2d(wavelet.WaveletCoeffs(_COMPLEX, 1, tile_size=4)),
+    lambda: wavelet.inverse(wavelet.WaveletCoeffs(_COMPLEX, 1)),
+], ids=["forward_1d", "forward_2d", "tiled_forward", "inverse_1d", "inverse_2d",
+        "tiled_inverse", "inverse"])
+def test_complex_input_is_refused_not_cast(call):
+    # a float64 cast would keep the real part with only a ComplexWarning
+    assert _category(call) == "invalid-data"
