@@ -1,28 +1,22 @@
 """Timing of the hot kernels, and the byte-identity list of CLI outputs.
 
-Run as `python -m qphase.bench`. Its first line is the number of usable
-cores that `kernels.split` reads, which says whether the chunk loops below
-ran on two threads or inline. Then it reports the median over five fresh
-processes of `import qphase.cli`, with the number of scipy modules it
-loaded (0: numpy is the one runtime dependency). Then the median of three
-passes for the kicked-rotator evolution at n_q = 16, with its minor page
-faults per kick where the `resource` module exists, the bytes `rotator`
-still holds after evolving n_q = 16 at four K and the tracemalloc peak of a
-K switch (both as multiples of the state), the paired-FFT Wigner grid at n_q = 11,
-the 2D wavelet pyramid of a random 1024^2 field and of a 4096^2 one (the
-size of the n_q = 11 Wigner grid, whose first level runs far out of L2
-cache), the entropy a Wigner row at n_q = 11 takes
-(`entropy_of_squares` of the (4096, 2048) left-half view of a 4096^2 grid
-at scale 4N), a whole Wigner scan row at n_q = 11, the classical
-map's `kernels.stdmap_advance` (also in ns per point-step) and the CSV grid
-dump into memory, of a random 1024x1024 grid (every row through the one
-"%.17g" row template) and of the Wigner grid that `qphase wigner --nq 9 --K 2
---t 100` writes (every row through the mirrored half-row path). Every time
-is printed with the min-max spread of its runs: three runs cannot tell a
-drifting machine from a changed program, so compare alternated runs. The
-pyramid, the entropy and the scan row also report their tracemalloc peak in
-one more, untimed pass, as a multiple of the field, half-grid or grid they
-work on. Every kernel has one numpy path.
+Run as `python -m qphase.bench`. It prints the number of usable cores that
+`kernels.split` reads (with one, every split loop runs inline; with more, a
+loop of more than one piece runs its halves on two threads), the median
+over five fresh processes of `import qphase.cli` with the number of scipy
+modules it loaded (0: numpy is the one runtime dependency), and the
+kicked-rotator evolution at n_q = 16 with its minor page faults per kick
+where the `resource` module exists, the bytes `rotator` still holds after
+evolving n_q = 16 at four K and the tracemalloc peak of a K switch (both as
+multiples of the state). Then it times each case of `_cases`, one line
+each: the kernels and whole paths at fixed sizes and seeds, the larger ones
+at the n_q = 11 Wigner row's (2N)^2 = 4096^2 grid, far out of L2 cache.
+
+Every time is the median of three calls after one warm-up call, with the
+min-max spread of the three: three calls cannot tell a drifting machine
+from a changed program, so compare alternated runs. A case with a unit also
+reports the tracemalloc peak of one more, untimed call, as a multiple of
+the array it works on. Every kernel has one numpy path.
 
 `python -m qphase.bench --outputs DIR` times nothing: it runs a fixed list
 of `qphase` commands with fixed seeds into DIR and prints the sha256 of
@@ -50,8 +44,11 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
-from . import kernels
+from . import analysis, cli, imageio, kernels, rotator, wavelet, wigner
 from .measurement import _rng
+
+# points and steps of the map case
+_MAP_POINTS, _MAP_STEPS = 1_000_000, 100
 
 
 def _times(fn, repeats: int = 3) -> list:
@@ -69,92 +66,89 @@ def _timed(times) -> str:
     return f"{statistics.median(times):8.4f}s [{times[0]:.4f}-{times[-1]:.4f}]"
 
 
-def _wavelet_case(side: int):
-    field = _rng(0).standard_normal((side, side))
-
-    def run():
-        from . import wavelet
-        wavelet.d4_forward_2d(field)
-
-    return run
-
-
-# N of the entropy case: a Wigner row's at n_q = 11, whose S is read from
-# the (2N, N) left half of its (2N, 2N) grid
-_ENTROPY_N = 1 << 11
-
-
-def _entropy_case():
-    full = _rng(4).standard_normal((2 * _ENTROPY_N, 2 * _ENTROPY_N))
-    left = full[:, :_ENTROPY_N]
-    # the grid sum rule of a Wigner row: 4N sum W^2 = 1 over the left half
-    full /= np.sqrt(4 * _ENTROPY_N * np.sum(left * left))
-
-    def run():
-        from . import analysis
-        analysis.entropy_of_squares(left, 4 * _ENTROPY_N)
-
-    return run
-
-
-def _scan_row_case():
-    def run():
-        from . import analysis
-        analysis.wigner_scan_row(2.0, 11, 1000)
-
-    return run
-
-
-def _traced_peak(fn) -> int:
+def _traced(fn) -> tuple:
+    """(bytes still held, peak bytes) that tracemalloc saw from a call of fn,
+    whose result is dropped first."""
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
 
-def _wigner_case():
-    rng = _rng(2)
-    psi = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
-    psi /= np.linalg.norm(psi)
-
-    def run():
-        from . import wigner
-        wigner.wigner_direct(psi)
-
-    return run
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _evolve_case(t: int):
-    from . import rotator
-    params = rotator.RotatorParams(n_q=16, K=2.0)
-    psi = rotator.initial_band_state(params)
-
-    def run():
-        rotator.evolve(psi, params, t)
-
-    return run
-
-
-def _rotator_tables() -> tuple:
-    """(bytes `rotator` holds after evolving n_q = 16 at four K, traced peak
-    of a K switch at n_q = 16), each as a multiple of the state."""
-    from . import rotator
+def _evolve_line(kicks: int = 200) -> str:
+    """The `rotator.evolve` line at n_q = 16: its time, minor faults per
+    kick, and the bytes `rotator` holds after evolving at four K and the
+    peak of a K switch, each as a multiple of the state."""
+    sweep = [rotator.RotatorParams(n_q=16, K=K) for K in (0.5, 0.9, 1.5, 2.0)]
+    psi = rotator.initial_band_state(sweep[-1])  # the same at every K
+    run = lambda: rotator.evolve(psi, sweep[-1], kicks)  # noqa: E731
+    run()
+    line = f"{f'rotator.evolve n_q=16 t={kicks}':34s}  numpy: {_timed(_times(run))}"
+    if resource is not None:
+        before = _minor_faults()
+        run()
+        line += f"  minor faults/kick: {(_minor_faults() - before) / kicks:.1f}"
     # a 4-qubit run first, so every n_q = 16 table is built inside the trace
     small = rotator.RotatorParams(n_q=4, K=1.0)
     rotator.evolve(rotator.initial_band_state(small), small, 1)
-    sweep = [rotator.RotatorParams(n_q=16, K=K) for K in (0.5, 0.9, 1.5, 2.0)]
-    psi = rotator.initial_band_state(sweep[0])
-    tracemalloc.start()
-    try:
-        for params in sweep:
-            rotator.evolve(psi, params, 1)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    peak = _traced_peak(lambda: rotator.evolve(psi, sweep[0], 1))
-    return held / psi.nbytes, peak / psi.nbytes
+    held, _ = _traced(lambda: [rotator.evolve(psi, params, 1) for params in sweep])
+    _, switch = _traced(lambda: rotator.evolve(psi, sweep[0], 1))
+    return (f"{line}  held after 4-K sweep: {held / psi.nbytes:.2f} x state"
+            f"  K-switch peak: {switch / psi.nbytes:.2f} x state")
+
+
+def _cases():
+    """Yield (label, call, unit) of each timed case in print order; unit is
+    (bytes, name) of the array its peak is measured against, or None.
+
+    Each input is made in its turn and deleted before the next is made; the
+    calls read their inputs from this generator's frame, so a deleted input
+    is freed even while a caller still holds its call, and no two 4096^2
+    inputs are held at once.
+    """
+    rng = _rng(2)
+    psi = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+    psi /= np.linalg.norm(psi)
+    yield "wigner_direct n_q=11", lambda: wigner.wigner_direct(psi), None
+    del psi
+    for side in (1024, 4096):
+        field = _rng(0).standard_normal((side, side))
+        yield (f"d4_forward_2d {side}x{side}", lambda: wavelet.d4_forward_2d(field),
+               (field.nbytes, "field"))
+        del field
+    # the entropy call of a Wigner row at n_q = 11, whose S is read from the
+    # (2N, N) left half of its (2N, 2N) grid at scale 4N
+    n = 1 << 11
+    full = _rng(4).standard_normal((2 * n, 2 * n))
+    left = full[:, :n]
+    # the grid sum rule of a Wigner row: 4N sum W^2 = 1 over the left half
+    full /= np.sqrt(4 * n * np.sum(left * left))
+    yield ("entropy_of_squares 4096x2048 view", lambda: analysis.entropy_of_squares(left, 4 * n),
+           (left.nbytes, "half-grid"))
+    del full, left
+    yield ("wigner_scan_row K=2 n_q=11 t=1000", lambda: analysis.wigner_scan_row(2.0, 11, 1000),
+           (4096 * 4096 * 8, "grid"))
+    rng = _rng(1)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=_MAP_POINTS)
+    p = rng.uniform(-np.pi, np.pi, size=_MAP_POINTS)
+    yield ("stdmap 1e6 points x 100 steps",
+           lambda: kernels.stdmap_advance(theta, p, 2.0, _MAP_STEPS), None)
+    del theta, p
+    grid = _rng(3).standard_normal((1024, 1024))
+    yield "write_grid_csv 1024x1024 random", lambda: imageio.write_grid_csv(grid, io.StringIO()), None
+    del grid
+    # the grid `qphase wigner --nq 9 --K 2 --t 100` dumps
+    params = rotator.RotatorParams(n_q=9, K=2.0)
+    grid = wigner.wigner_from_momentum(
+        rotator.evolve(rotator.initial_band_state(params), params, 100)).values
+    yield ("write_grid_csv wigner n_q=9 t=100",
+           lambda: imageio.write_grid_csv(grid, io.StringIO()), None)
 
 
 def _cli_import() -> tuple:
@@ -166,41 +160,6 @@ def _cli_import() -> tuple:
     runs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                            text=True).stdout.split() for _ in range(5)]
     return sorted(float(r[0]) for r in runs), max(int(r[1]) for r in runs)
-
-
-def _minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-# points and steps of the map case
-_MAP_POINTS, _MAP_STEPS = 1_000_000, 100
-
-
-def _stdmap_case():
-    rng = _rng(1)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=_MAP_POINTS)
-    p = rng.uniform(-np.pi, np.pi, size=_MAP_POINTS)
-
-    def run():
-        kernels.stdmap_advance(theta, p, 2.0, _MAP_STEPS)
-
-    return run
-
-
-def _wigner_grid():
-    # the grid `qphase wigner --nq 9 --K 2 --t 100` dumps
-    from . import rotator, wigner
-    params = rotator.RotatorParams(n_q=9, K=2.0)
-    psi = rotator.evolve(rotator.initial_band_state(params), params, 100)
-    return wigner.wigner_from_momentum(psi).values
-
-
-def _csv_case(grid):
-    def run():
-        from . import imageio
-        imageio.write_grid_csv(grid, io.StringIO())
-
-    return run
 
 
 def _output_commands(pgm: Path) -> list:
@@ -229,7 +188,6 @@ def _output_commands(pgm: Path) -> list:
 def outputs(root) -> int:
     """Run the `--outputs` list into root and print `sha256  command/file`
     for every file the manifests list; 1 if a command fails, else 0."""
-    from . import cli, imageio
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     pgm = root / "portrait_256.pgm"
@@ -262,43 +220,18 @@ def main(argv=None) -> int:
     seconds, scipy_modules = _cli_import()
     print(f"{'import qphase.cli (fresh process)':34s}  numpy: {_timed(seconds)}"
           f"  scipy modules: {scipy_modules}")
-    kicks = 200
-    evolve_case = _evolve_case(kicks)
-    evolve_case()
-    label = f"rotator.evolve n_q=16 t={kicks}"
-    line = f"{label:34s}  numpy: {_timed(_times(evolve_case))}"
-    if resource is not None:
-        before = _minor_faults()
-        evolve_case()
-        line += f"  minor faults/kick: {(_minor_faults() - before) / kicks:.1f}"
-    held, switch = _rotator_tables()
-    print(f"{line}  held after 4-K sweep: {held:.2f} x state  K-switch peak: {switch:.2f} x state")
-    # (label, maker of the case, (bytes, name) of the array its peak is
-    # measured against); each case is made in its turn and dropped after it,
-    # so no two 4096^2 inputs are held at once
-    for label, make, unit in (
-            ("wigner_direct n_q=11", _wigner_case, None),
-            ("d4_forward_2d 1024x1024", lambda: _wavelet_case(1024), (1024 * 1024 * 8, "field")),
-            ("d4_forward_2d 4096x4096", lambda: _wavelet_case(4096), (4096 * 4096 * 8, "field")),
-            ("entropy_of_squares 4096x2048 view", _entropy_case,
-             (2 * _ENTROPY_N * _ENTROPY_N * 8, "half-grid")),
-            ("wigner_scan_row K=2 n_q=11 t=1000", _scan_row_case, (4096 * 4096 * 8, "grid")),
-            ("stdmap 1e6 points x 100 steps", _stdmap_case, None),
-            ("write_grid_csv 1024x1024 random",
-             lambda: _csv_case(_rng(3).standard_normal((1024, 1024))), None),
-            ("write_grid_csv wigner n_q=9 t=100", lambda: _csv_case(_wigner_grid()), None)):
-        case = make()
-        case()
-        times = _times(case)
+    print(_evolve_line())
+    for label, call, unit in _cases():
+        call()
+        times = _times(call)
         line = f"{label:34s}  numpy: {_timed(times)}"
         if unit is not None:
-            peak = _traced_peak(case)
+            peak = _traced(call)[1]
             line += f"  peak: {peak / 1e6:.1f} MB = {peak / unit[0]:.2f} x {unit[1]}"
         if label.startswith("stdmap"):
-            seconds = statistics.median(times)
-            line += f"  {seconds / (_MAP_POINTS * _MAP_STEPS) * 1e9:.1f} ns/point-step"
+            ns = statistics.median(times) / (_MAP_POINTS * _MAP_STEPS) * 1e9
+            line += f"  {ns:.1f} ns/point-step"
         print(line)
-        del case
     return 0
 
 

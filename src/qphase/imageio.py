@@ -295,6 +295,9 @@ def corpus_image(name: str, side: int = 128) -> GrayImage:
     A side above 2048 would be a register above the 22-qubit cap and raises
     `resource` before anything is allocated.
     """
+    if name not in _CORPUS:
+        raise QPhaseError("invalid-parameter",
+                          f"corpus image must be one of {', '.join(CORPUS_NAMES)}, got {name!r}")
     if side < 8 or side & (side - 1):
         raise QPhaseError("invalid-parameter", f"side must be a power of two >= 8, got {side}")
     check_register(2 * (side.bit_length() - 1), f"a {side}x{side} corpus image")

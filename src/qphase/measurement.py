@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import wavelet
+from . import kernels, wavelet
 from .errors import QPhaseError
 from .statevec import as_state, even_qubits
 
@@ -95,9 +95,9 @@ def cell_probabilities(state, n_f: int) -> np.ndarray:
 def _ancilla_estimate(w: float, N: int, shots: int, rng: np.random.Generator):
     _check_shots(shots)
     mean = 2.0 * N * w
-    if abs(mean) > 1.0 + 1e-12:
+    if not abs(mean) <= 1.0 + 1e-12:  # written so that NaN fails it too
         raise QPhaseError("invalid-parameter",
-                          f"|2 N w| = {abs(mean)} exceeds 1: not a valid grid value")
+                          f"|2 N w| = {abs(mean)} is not at most 1: not a valid grid value")
     p_plus = min(1.0, max(0.0, 0.5 * (1.0 + mean)))
     plus = int(rng.binomial(shots, p_plus))
     sample_mean = (2 * plus - shots) / shots
@@ -201,6 +201,8 @@ def _quantize(fld: np.ndarray, scale: float) -> np.ndarray:
 
 def field_psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """PSNR between 8-bit quantizations; the original's peak maps to 255."""
+    if not (kernels.finite(original) and kernels.finite(reconstructed)):
+        raise QPhaseError("invalid-data", "PSNR fields must not contain NaN or Inf")
     peak = float(np.max(original))
     if peak <= 0:
         raise QPhaseError("degenerate-input", "original field has no positive values")
@@ -242,6 +244,8 @@ def monte_carlo_reconstruct(amplitudes, samples: int, seed: int):
     construction. Returns (field, l2_error, psnr) against the input field.
     """
     a = np.asarray(amplitudes, dtype=np.float64)
+    if not kernels.finite(a):
+        raise QPhaseError("invalid-data", "amplitudes contain NaN or Inf")
     if np.any(a < 0):
         raise QPhaseError("invalid-parameter", "amplitudes must be nonnegative")
     probs = (a * a).reshape(-1)

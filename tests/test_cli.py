@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -589,6 +590,23 @@ def test_full_spellings_of_the_benchmark_commands_parse(tmp_path):
         args = vars(parser.parse_args(argv + ["--out", out]))
         assert args["out"] == out
         assert {key: args[key] for key in expect} == expect, argv
+
+
+def test_bench_cases_hold_one_large_input_at_a_time():
+    # walks the case list without calling a case: each input is freed before
+    # the next is made, so two 4096^2 inputs alive at once would read >= 2x
+    from qphase import bench
+    tracemalloc.start()
+    try:
+        labels = [label for label, _, _ in bench._cases()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels == ["wigner_direct n_q=11", "d4_forward_2d 1024x1024", "d4_forward_2d 4096x4096",
+                      "entropy_of_squares 4096x2048 view", "wigner_scan_row K=2 n_q=11 t=1000",
+                      "stdmap 1e6 points x 100 steps", "write_grid_csv 1024x1024 random",
+                      "write_grid_csv wigner n_q=9 t=100"]
+    assert peak < 1.75 * 4096 * 4096 * 8
 
 
 def test_bench_outputs_prints_the_sha256_of_every_written_file(tmp_path, capsys):

@@ -262,6 +262,15 @@ def test_corpus_image_is_the_corpus_entry():
         assert np.array_equal(imageio.corpus_image(name, 32).pixels, corpus[name].pixels)
 
 
+def test_corpus_image_refuses_an_unknown_name_before_any_work():
+    # a side above the register cap would raise `resource`: the name is read first
+    for side in (8, 1 << 50):
+        with pytest.raises(QPhaseError) as err:
+            imageio.corpus_image("nope", side)
+        assert err.value.category == "invalid-parameter"
+        assert all(name in str(err.value) for name in imageio.CORPUS_NAMES)
+
+
 def test_corpus_side_validation():
     for bad in (4, 48):
         with pytest.raises(QPhaseError) as err:

@@ -139,9 +139,10 @@ def test_ancilla_zero_value_within_noise():
 
 
 def test_ancilla_rejects_out_of_range_values():
-    with pytest.raises(QPhaseError) as err:
-        measurement.ancilla_tomography_sample(0.1, 64, 100, seed=0)
-    assert err.value.category == "invalid-parameter"
+    for bad in (0.1, math.nan):
+        with pytest.raises(QPhaseError) as err:
+            measurement.ancilla_tomography_sample(bad, 64, 100, seed=0)
+        assert err.value.category == "invalid-parameter"
 
 
 def test_shots_to_resolve_basics():
@@ -149,8 +150,9 @@ def test_shots_to_resolve_basics():
     assert shots == measurement.shots_to_resolve(64.0 ** -1.5, 64, seed=2)
     # doubling schedule starting at 8
     assert shots >= 8 and (shots & (shots - 1)) == 0
-    # w = 0 cannot be resolved; |2 N w| > 1 is not a grid value
-    for bad in (0.0, 0.1):
+    # w = 0 cannot be resolved; |2 N w| > 1 and NaN are not grid values,
+    # refused before the first draw rather than after the whole schedule
+    for bad in (0.0, 0.1, math.nan):
         with pytest.raises(QPhaseError) as err:
             measurement.shots_to_resolve(bad, 64, seed=0)
         assert err.value.category == "invalid-parameter"
@@ -350,6 +352,12 @@ def test_monte_carlo_validation():
     with pytest.raises(QPhaseError) as err:
         measurement.monte_carlo_reconstruct(np.zeros((4, 4)), 10, seed=0)
     assert err.value.category == "degenerate-input"
+    for bad in (math.nan, math.inf):
+        a = np.ones((4, 4))
+        a[1, 2] = bad
+        with pytest.raises(QPhaseError) as err:
+            measurement.monte_carlo_reconstruct(a, 10, seed=0)
+        assert err.value.category == "invalid-data"
 
 
 def test_psnr_degenerate_and_known_values():
@@ -360,3 +368,10 @@ def test_psnr_degenerate_and_known_values():
     assert measurement.field_psnr(a, a) == math.inf
     # full-scale disagreement on every pixel: mse = 255^2, psnr = 0
     assert measurement.field_psnr(a, np.zeros((4, 4))) == pytest.approx(0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        b = np.ones((4, 4))
+        b[2, 3] = bad
+        for pair in ((b, a), (a, b)):
+            with pytest.raises(QPhaseError) as err:
+                measurement.field_psnr(*pair)
+            assert err.value.category == "invalid-data"
